@@ -3,7 +3,7 @@
 Integrity is only acceptable if it is cheap where it matters: the scrub
 daemon re-hashes a budgeted batch of documents per round *inside the
 engine tick*, so an over-eager schedule would steal lock time from the
-serve path.  This bench drives a real :class:`ThreadedDCWSServer` on
+serve path.  This bench drives a real :class:`AsyncDCWSServer` on
 loopback with a pooled keep-alive client over a fully warm response
 cache — the fast path where every request is a cached zero-copy send —
 and compares:
@@ -33,9 +33,9 @@ from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.content import DIGEST_HEADER, digest_matches
 from repro.http.messages import Request
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), "..",
                           "BENCH_integrity.json")
@@ -77,7 +77,7 @@ def run_mode(scrub_interval: float, ops: int):
                           scrub_interval=scrub_interval)
     loc = Location("127.0.0.1", free_port())
     engine = DCWSEngine(loc, config, MemoryStore(dict(SITE)))
-    server = ThreadedDCWSServer(engine, tick_period=0.05)
+    server = AsyncDCWSServer(engine, tick_period=0.05)
     server.start()
     digest_stamped = 0
     try:

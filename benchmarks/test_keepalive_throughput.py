@@ -1,6 +1,6 @@
 """Localhost throughput: persistent connections vs one-shot fetches.
 
-Measures requests/second against a real ThreadedDCWSServer on loopback
+Measures requests/second against a real AsyncDCWSServer on loopback
 two ways: a fresh TCP connection per request (the pre-keep-alive socket
 path) and a pooled persistent channel (the server-to-server path).  The
 persistent path must win — it skips a connect/teardown per request —
@@ -15,9 +15,9 @@ from repro.client.realclient import http_fetch
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.messages import Request
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
 
 REQUESTS = 300
 DOC = b"<html>" + b"x" * 2048 + b"</html>"
@@ -35,7 +35,7 @@ def test_keepalive_beats_one_shot(report):
     engine = DCWSEngine(loc, config, MemoryStore({"/doc.html": DOC}))
     peer = Location("127.0.0.1", loc.port)
 
-    with ThreadedDCWSServer(engine) as server:
+    with AsyncDCWSServer(engine) as server:
         assert server.wait_ready()
 
         def fetch_once():

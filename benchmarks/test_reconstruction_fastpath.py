@@ -5,7 +5,7 @@ Two measurements back the serve-path optimisations:
 1. Regenerating a dirty ~6.5 KB document via the link-template splice
    must be at least 5x faster than the tokenize -> parse -> rewrite ->
    serialize pipeline it replaces (the paper's ~20 ms cost, section 5.3).
-2. Serving a hot document through a real ThreadedDCWSServer must not get
+2. Serving a hot document through a real AsyncDCWSServer must not get
    slower with the rendered-response cache on; with a disk-backed store
    the cached path skips the store read and response assembly entirely.
 
@@ -30,9 +30,9 @@ from repro.html.parser import parse_html
 from repro.html.rewriter import rewrite_html
 from repro.html.template import build_link_template
 from repro.http.messages import Request
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import DiskStore
-from repro.server.threaded import ThreadedDCWSServer
 
 DOCUMENT_BYTES = 6500
 LINKS = 10
@@ -122,7 +122,7 @@ def serve_throughput(config, tmp_path, label):
     (docroot / "doc.html").write_bytes(build_document().encode("latin-1"))
     loc = Location("127.0.0.1", free_port())
     engine = DCWSEngine(loc, config, DiskStore(str(docroot)))
-    with ThreadedDCWSServer(engine) as server:
+    with AsyncDCWSServer(engine) as server:
         assert server.wait_ready()
         with ConnectionPool(timeout=10.0) as pool:
             request = Request(method="GET", target="/doc.html")

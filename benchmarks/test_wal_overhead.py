@@ -5,7 +5,7 @@ goal is that ``fsync="interval"`` (the default) costs nearly nothing
 per request, with ``"always"`` available when a deployment wants
 zero-loss acknowledgements and is willing to pay the fsync.
 
-The measurement drives a real :class:`ThreadedDCWSServer` on loopback
+The measurement drives a real :class:`AsyncDCWSServer` on loopback
 with a pooled keep-alive client.  The workload is deliberately
 mutation-heavy — every ``UPDATE_EVERY``-th operation is a content
 update (journaled) among plain GETs (never journaled) — because a pure
@@ -31,9 +31,9 @@ from repro.client.pool import ConnectionPool
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.messages import Request
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), "..",
                           "BENCH_wal.json")
@@ -78,8 +78,8 @@ def run_mode(mode: str, tmp_path, ops: int) -> float:
     engine = DCWSEngine(loc, config, MemoryStore(dict(SITE)))
     journal_path = (None if mode == "none"
                     else str(tmp_path / f"{mode}.wal"))
-    server = ThreadedDCWSServer(engine, tick_period=0.05,
-                                journal_path=journal_path)
+    server = AsyncDCWSServer(engine, tick_period=0.05,
+                             journal_path=journal_path)
     server.start()
     try:
         with ConnectionPool(timeout=10.0) as pool:
@@ -114,7 +114,7 @@ def test_wal_overhead(report, scale, tmp_path):
     relative = {mode: rates[mode] / baseline for mode in rates}
     lines = [
         f"WAL overhead, {ops} ops (1 update per {UPDATE_EVERY} ops, "
-        f"{len(DOC)}-byte document), threaded front end",
+        f"{len(DOC)}-byte document), event-loop front end",
         f"  {'mode':<10} {'ops/s':>10} {'vs no-WAL':>10}",
     ]
     for mode in ("none", "off", "interval", "always"):

@@ -2,11 +2,11 @@
 """Quickstart: two real DCWS servers on localhost.
 
 Starts a *home* server holding a small site and an empty *co-op* server,
-both as real multithreaded socket servers (the paper's prototype,
-section 5.1).  A burst of client traffic overloads the home server; the
-migration policy picks a hot document, rewrites the hyperlinks pointing
-at it, and the co-op starts serving it after a lazy pull — all over
-plain HTTP, observable with any browser.
+both as real event-loop socket servers (the front end hosting the
+paper's section 5.1 engine).  A burst of client traffic overloads the
+home server; the migration policy picks a hot document, rewrites the
+hyperlinks pointing at it, and the co-op starts serving it after a lazy
+pull — all over plain HTTP, observable with any browser.
 
 Run:  python examples/quickstart.py
 """
@@ -18,9 +18,9 @@ from repro.client.realclient import fetch_url
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.urls import URL
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
 
 SITE = {
     "/index.html": (b'<html><head><title>Quickstart</title></head><body>'
@@ -47,10 +47,10 @@ def main() -> None:
     config = ServerConfig(stats_interval=0.5, pinger_interval=1.0,
                           validation_interval=5.0,
                           migration_hit_threshold=1.0)
-    home = ThreadedDCWSServer(DCWSEngine(
+    home = AsyncDCWSServer(DCWSEngine(
         home_loc, config, MemoryStore(SITE),
         entry_points=["/index.html"], peers=[coop_loc]), tick_period=0.1)
-    coop = ThreadedDCWSServer(DCWSEngine(
+    coop = AsyncDCWSServer(DCWSEngine(
         coop_loc, config, MemoryStore(), peers=[home_loc]), tick_period=0.1)
 
     with home, coop:

@@ -12,7 +12,7 @@ Top-level map (see README.md and DESIGN.md):
 - :mod:`repro.html`      — HTML tokenizer/parser/rewriter/serializer;
 - :mod:`repro.http`      — HTTP messages, URLs, piggyback headers;
 - :mod:`repro.server`    — the transport-free engine + the real
-  multithreaded socket server + document stores;
+  event-loop socket server + document stores;
 - :mod:`repro.sim`       — the discrete-event cluster simulator;
 - :mod:`repro.datasets`  — the four evaluation corpora (MAPUG, SBLog,
   LOD, Sequoia) plus a synthetic generator;

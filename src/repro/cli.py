@@ -52,11 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="interval",
                        help="journal fsync policy: every record (group-"
                             "committed), the periodic tick, or never")
-    serve.add_argument("--front-end", choices=["threaded", "aio"],
-                       default="threaded",
-                       help="socket front end: thread-per-connection "
-                            "(the paper's prototype) or the nonblocking "
-                            "event loop (thousands of keep-alive clients)")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="worker processes sharing the port "
                             "(SO_REUSEPORT, or fd hand-off where "
@@ -113,7 +108,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.server.aio import AsyncDCWSServer
     from repro.server.engine import DCWSEngine
     from repro.server.filestore import DiskStore
-    from repro.server.threaded import ThreadedDCWSServer
 
     store = DiskStore(args.root)
     names = store.names()
@@ -173,14 +167,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 0
     engine = DCWSEngine(Location(args.host, args.port), config, store,
                         entry_points=entries, peers=peers)
-    server_cls = (AsyncDCWSServer if getattr(args, "front_end", "threaded")
-                  == "aio" else ThreadedDCWSServer)
-    server = server_cls(engine, snapshot_path=args.state_file,
-                        journal_path=getattr(args, "journal", None))
+    server = AsyncDCWSServer(engine, snapshot_path=args.state_file,
+                             journal_path=getattr(args, "journal", None))
     server.start()
     print(f"DCWS server on http://{args.host}:{args.port} "
           f"({len(names)} documents, {len(peers)} peers, "
-          f"{args.front_end} front end)")
+          f"{type(server).__name__})")
     print(f"status: http://{args.host}:{args.port}/~dcws/status")
     try:
         while True:

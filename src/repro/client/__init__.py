@@ -7,7 +7,7 @@ random hyperlinks, fetch embedded images in parallel, keep a client-side
 cache for the duration of each sequence, and back off exponentially on 503.
 
 :class:`~repro.client.walker.RandomWalker` is the synchronous walker used
-against the real threaded server; the simulator's event-driven client
+against the real socket server; the simulator's event-driven client
 (:mod:`repro.sim.simclient`) reuses the same cache, link-selection and
 backoff pieces.
 """

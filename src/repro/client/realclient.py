@@ -1,6 +1,6 @@
 """A small blocking HTTP client over real sockets.
 
-Used by the threaded DCWS server for server-to-server transfers (lazy
+Used by the DCWS socket server for server-to-server transfers (lazy
 migration pulls, validations, pings) and by the real-transport walker.
 By default each call opens one connection, HTTP/1.0 style, exactly like
 the 1998 prototype's inter-server sessions; pass a

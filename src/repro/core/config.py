@@ -163,35 +163,31 @@ class ServerConfig:
     link_templates: bool = True
     byte_cache_bytes: int = 8 * 1024 * 1024
     response_cache_entries: int = 512
-    # Socket tuning and event-loop admission control.  ``listen_backlog``
-    # is the kernel accept backlog of both front ends (Table 1's socket
-    # queue length keeps its original meaning: the threaded server's
-    # bounded worker hand-off queue).  The remaining knobs govern the
-    # event-loop front end (repro.server.aio): ``max_connections`` caps
-    # concurrently open client connections — connections over the cap are
-    # shed at accept with 503 + Retry-After, the paper's overload rule
-    # applied at the edge — and ``write_buffer_limit`` is the
-    # per-connection outbound high-water mark above which the loop stops
-    # reading from that client (backpressure) until the buffer drains
-    # below half the limit.
+    # Socket tuning and admission control for the socket front end
+    # (repro.server.aio).  ``listen_backlog`` is the kernel accept
+    # backlog.  Table 1's socket queue length is the bounded worker
+    # hand-off queue of the simulator and the baselines; the socket front
+    # end has none, and its directive executor (``worker_threads``) plays
+    # the prototype's worker pool.  ``max_connections`` caps concurrently
+    # open client connections — connections over the cap are shed at
+    # accept with 503 + Retry-After, the paper's overload rule applied at
+    # the edge — and ``write_buffer_limit`` is the per-connection
+    # outbound high-water mark above which the loop stops reading from
+    # that client (backpressure) until the buffer drains below half the
+    # limit.
     listen_backlog: int = 128
     max_connections: int = 1024
     write_buffer_limit: int = 256 * 1024
     # Multi-core scale-out (repro.server.multiproc).  ``workers`` is the
-    # number of serving processes sharing the listen port (1 = the
-    # classic single-process front ends; >1 forks SO_REUSEPORT workers,
-    # each running its own aio loop).  ``lock_stripes`` sizes the striped
-    # per-shard locks and seqlock version stamps the engine uses for its
+    # number of serving processes sharing the listen port (1 = a single
+    # process; >1 forks SO_REUSEPORT workers, each running its own aio
+    # loop).  ``lock_stripes`` sizes the striped per-shard locks and
+    # seqlock version stamps the engine uses for its
     # lock-free clean-read fast path (hash(name) % lock_stripes); it also
     # partitions document *ownership* across workers — per-document
     # mutating work executes on the worker owning the document's shard.
-    # ``sendfile_min_bytes``: disk-backed bodies at least this large are
-    # served via os.sendfile on the threaded front end instead of being
-    # read into memory (and deliberately bypass the byte/response caches
-    # so one big file cannot flush the hot set).
     workers: int = 1
     lock_stripes: int = 16
-    sendfile_min_bytes: int = 256 * 1024
     # Failure-domain hardening: per-peer circuit breakers on the pooled
     # server-to-server channels.  After ``breaker_failure_threshold``
     # consecutive transport failures the peer's circuit opens and fetches
@@ -254,7 +250,6 @@ class ServerConfig:
             "listen_backlog", "max_connections", "write_buffer_limit",
             "breaker_failure_threshold", "breaker_reset_timeout",
             "breaker_half_open_probes", "workers", "lock_stripes",
-            "sendfile_min_bytes",
         )
         for name in positive:
             if getattr(self, name) <= 0:

@@ -1,7 +1,7 @@
 """HTTP request and response messages with wire (de)serialization.
 
 These objects are shared verbatim between the real socket server
-(:mod:`repro.server.threaded`) and the discrete-event simulator
+(:mod:`repro.server.aio`) and the discrete-event simulator
 (:mod:`repro.sim`): the simulator constructs the same :class:`Request` and
 :class:`Response` values it would have read off a socket, so the DCWS engine
 cannot tell which transport it is running on.
@@ -60,11 +60,10 @@ class Request:
 class FileBody:
     """A response body that still lives on disk.
 
-    Attached by the engine when a front end opted into ``os.sendfile``
-    delivery of large disk-backed documents: ``path`` is the on-disk
-    file and ``size`` the byte count the response's Content-Length was
-    computed from.  Front ends without sendfile support (and
-    :meth:`Response.serialize`) simply read the file.
+    ``path`` is the on-disk file and ``size`` the byte count the
+    response's Content-Length was computed from.  The engine never
+    attaches one; the socket front end (and :meth:`Response.serialize`)
+    simply read the file.
     """
 
     path: str
@@ -79,8 +78,9 @@ class Response:
     simulation mode the body may be empty while ``headers`` still carry the
     byte count the transport should account for (see
     :class:`repro.sim.simserver.SimServer`).  ``body_file`` (exclusive
-    with a non-empty ``body``) defers large disk-backed bodies to the
-    transport — ``socket.sendfile`` on the threaded front end.
+    with a non-empty ``body``) names a disk file holding the body; the
+    engine never sets it, and the socket front end reads such a body
+    into memory if one arrives.
     """
 
     status: int

@@ -1,13 +1,11 @@
 """Sans-I/O incremental HTTP request parsing: the shared protocol core.
 
-Both real front ends — the thread-per-connection server
-(:mod:`repro.server.threaded`) and the event-loop server
-(:mod:`repro.server.aio`) — speak the same wire protocol: requests with a
-CRLF-terminated head, bodies framed by ``Content-Length``, pipelining,
-and hard size limits.  :class:`RequestParser` implements that protocol
-once, over plain byte buffers, with no sockets, threads or clocks, so the
-blocking reader and the nonblocking connection state machine are shims
-over one tested implementation.
+The event-loop server (:mod:`repro.server.aio`) speaks HTTP/1.x:
+requests with a CRLF-terminated head, bodies framed by
+``Content-Length``, pipelining, and hard size limits.
+:class:`RequestParser` implements that protocol over plain byte
+buffers, with no sockets, threads or clocks, so the nonblocking
+connection state machine is a shim over one tested implementation.
 
 Usage pattern (the "feed bytes, ask for requests" loop)::
 
@@ -36,8 +34,7 @@ from repro.errors import (
 )
 from repro.http.messages import Request, parse_request, validated_content_length
 
-#: Default bound on one buffered request (head + body), matching the
-#: limit both front ends enforced historically.
+#: Default bound on one buffered request (head + body).
 DEFAULT_MAX_REQUEST = 1024 * 1024
 
 _HEAD_TERMINATOR = b"\r\n\r\n"

@@ -1,13 +1,14 @@
-"""Server layer: document stores, the DCWS request engine, real threads.
+"""Server layer: document stores, the DCWS request engine, real sockets.
 
 :class:`~repro.server.engine.DCWSEngine` is transport-independent — it is
-hosted unchanged by both the real multithreaded socket server
-(:class:`~repro.server.threaded.ThreadedDCWSServer`, mirroring the paper's
-prototype of section 5.1) and the discrete-event simulator
+hosted unchanged by both the real socket server
+(:class:`~repro.server.aio.AsyncDCWSServer`, the event-loop host of the
+paper's section 5.1 prototype) and the discrete-event simulator
 (:mod:`repro.sim`), so every policy decision measured in the benchmarks is
 made by the same code that serves real sockets.
 """
 
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import (
     DCWSEngine,
     EngineReply,
@@ -20,9 +21,9 @@ from repro.server.filestore import (
     MemoryStore,
     guess_content_type,
 )
-from repro.server.threaded import ThreadedDCWSServer
 
 __all__ = [
+    "AsyncDCWSServer",
     "DCWSEngine",
     "DiskStore",
     "DocumentStore",
@@ -30,6 +31,5 @@ __all__ = [
     "MemoryStore",
     "OutboundAction",
     "PullFromHome",
-    "ThreadedDCWSServer",
     "guess_content_type",
 ]

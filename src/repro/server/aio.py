@@ -1,31 +1,32 @@
-"""Event-loop front end: nonblocking keep-alive serving on ``selectors``.
+"""The socket front end: nonblocking keep-alive serving on ``selectors``.
 
-:class:`AsyncDCWSServer` hosts the same :class:`DCWSEngine` as the
-threaded front end (:mod:`repro.server.threaded`), but multiplexes every
-client connection on a single event-loop thread instead of parking one
-thread per connection.  The thread-per-connection model caps concurrency
-at the worker count long before the engine saturates — an idle keep-alive
-client pins a whole worker; here an idle connection costs one selector
-registration and a few hundred bytes of state, so one loop absorbs
-thousands of concurrent keep-alive clients.
+:class:`AsyncDCWSServer` hosts a :class:`DCWSEngine` on real sockets.
+The paper's section 5.1 prototype is thread-per-connection — an accept
+thread, a pool of worker threads, a pinger/statistics thread.  Here the
+accept thread and the per-connection parking are replaced by one event
+loop that multiplexes every client connection: an idle keep-alive
+client costs one selector registration and a few hundred bytes of
+state instead of a whole worker, so one loop absorbs thousands of
+concurrent keep-alive clients.  The prototype's worker pool survives as
+the directive executor (``config.worker_threads``), and its periodic
+thread as the loop's tick.
 
 Structure:
 
 - **One loop thread** owns the listener, a ``selectors.DefaultSelector``,
   and every connection's read/write state machine (:class:`_Connection`).
   Requests are parsed incrementally by the sans-I/O
-  :class:`repro.http.wire.RequestParser` — the identical protocol code
-  the threaded front end uses.
+  :class:`repro.http.wire.RequestParser`.
 - **In-memory dispatches stay on the loop.**  ``engine.handle_request``
   under the engine lock is a dictionary-and-string affair; the loop never
   holds the lock longer than one such dispatch.
 - **Blocking work leaves the loop.**  Directives — lazy-migration pulls,
-  dirty-document splices — and periodic transfers (validations, pings)
-  run on a small :class:`~concurrent.futures.ThreadPoolExecutor` via the
-  shared :class:`repro.server.dispatch.BlockingDirectiveMixin`.
-  Completions re-enter the loop through a *self-pipe*: the executor
-  thread appends a callback to a queue and writes one byte to a
-  ``socketpair`` the selector watches, waking the loop.
+  dirty-document splices — periodic transfers (validations, pings) and
+  journal/snapshot disk work run on a small
+  :class:`~concurrent.futures.ThreadPoolExecutor`.  Completions re-enter
+  the loop through a *self-pipe*: the executor thread appends a callback
+  to a queue and writes one byte to a ``socketpair`` the selector
+  watches, waking the loop.
 - **Admission control lives at the accept edge** (where the paper's
   section 5.2 overload rule belongs): beyond ``config.max_connections``
   open connections, new arrivals are shed immediately with
@@ -53,10 +54,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
-from repro.client.breaker import build_breaker
+from repro.client.breaker import BreakerOpenError, build_breaker
 from repro.client.pool import ConnectionPool
 from repro.client.realclient import http_fetch
-from repro.errors import HTTPError, RecoverableProtocolError, ReproError
+from repro.errors import (
+    DigestMismatch,
+    HTTPError,
+    RecoverableProtocolError,
+    ReproError,
+)
 from repro.http.messages import (
     Request,
     Response,
@@ -66,20 +72,18 @@ from repro.http.messages import (
 )
 from repro.http.status import StatusCode
 from repro.http.wire import RequestParser
-from repro.server.dispatch import (
-    BlockingDirectiveMixin,
-    DurabilityMixin,
-    close_quietly,
-)
 from repro.server.engine import (
     DCWSEngine,
     EngineReply,
     OutboundAction,
+    PullFromHome,
     RegenerateAndServe,
 )
+from repro.server.striping import StripedLock
 
 if TYPE_CHECKING:
     from repro.faults import FaultPlan
+    from repro.server.wal import WriteAheadJournal
 
 _RECV_CHUNK = 65536
 _MAX_REQUEST = 1024 * 1024
@@ -161,7 +165,7 @@ class _Connection:
         self.events = 0
 
 
-class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
+class AsyncDCWSServer:
     """Host a :class:`DCWSEngine` behind a single-threaded event loop."""
 
     def __init__(self, engine: DCWSEngine, *,
@@ -177,10 +181,15 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         self.port = engine.location.port
         self.request_timeout = request_timeout
         self.tick_period = tick_period
+        # Optional restart recovery: restore (or journal-replay recover)
+        # on start, checkpoint periodically and on stop
+        # (repro.server.persistence / repro.server.wal).
         self.snapshot_path = snapshot_path
         self.snapshot_interval = snapshot_interval
         self._last_snapshot = 0.0
-        self._init_durability(journal_path, faults)
+        self.journal_path = journal_path
+        self.journal: "Optional[WriteAheadJournal]" = None
+        self._journal_faults = faults
         # Engine guard, shared between the loop and executor threads.
         self._lock = threading.Lock()
         self._listener: Optional[socket.socket] = None
@@ -205,7 +214,15 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         self._wakeup_send: Optional[socket.socket] = None
         self._next_tick = 0.0
         self._running = False
-        self._init_dispatch()
+        # Dirty-document regeneration runs off the engine lock, guarded so
+        # two executor threads never splice the same name concurrently.
+        # Striped rather than per-name: a fixed array of CRC-32-addressed
+        # locks (config.lock_stripes) keeps memory O(1) while two
+        # *different* documents contend only on a stripe collision — and
+        # the same shard map drives cross-worker document ownership in
+        # the multi-process front end.
+        engine.defer_regeneration = True
+        self._regen_locks = StripedLock(engine.config.lock_stripes)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -273,7 +290,8 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         self.pool.close()
-        self._close_durability()
+        if self.journal is not None:
+            self.journal.close()
         self._listener = None
         self._thread = None
         self._executor = None
@@ -558,6 +576,61 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
             return self._execute_regeneration(directive)
         return self._execute_pull(directive)
 
+    def _execute_regeneration(self, directive: RegenerateAndServe) -> Response:
+        """Dirty-document regeneration with the splice off the engine lock.
+
+        The per-document guard serializes threads racing for the same
+        name; the double-checked dirty flag (``regeneration_plan`` returns
+        ``None`` once a peer has committed) makes the losers skip straight
+        to serving.  The engine lock is held only to capture the plan and
+        to commit the result — the string splice itself runs unlocked, so
+        the lock again covers just graph/table mutations.
+        """
+        with self._regen_locks.lock_for(directive.name):
+            with self._lock:
+                plan = self.engine.regeneration_plan(directive.name)
+            if plan is not None:
+                output, next_template = plan.apply()
+                with self._lock:
+                    self.engine.commit_regeneration(
+                        plan, output, next_template, time.monotonic())
+        with self._lock:
+            reply = self.engine.serve_after_regeneration(
+                directive, time.monotonic())
+        return reply.response
+
+    def _execute_pull(self, pull: PullFromHome) -> Response:
+        """Lazy migration: blocking fetch from home, outside the lock.
+
+        ``home_down`` distinguishes a breaker fast-fail (the home's
+        circuit is open — degrade to 503 + Retry-After) from a fresh
+        transport failure (degrade to 302 back to home)."""
+        upstream = None
+        home_down = False
+        corrupt = False
+        started = time.monotonic()
+        try:
+            upstream = http_fetch(pull.home, pull.request,
+                                  timeout=self.request_timeout,
+                                  pool=self.pool)
+        except BreakerOpenError:
+            home_down = True
+        except DigestMismatch:
+            # The pull body failed its X-DCWS-Digest (and the pool's own
+            # one-shot retry failed too): the home answered, so this is
+            # not silence — the engine counts a rejected pull and 302s
+            # the client to the home instead of feeding death detection.
+            corrupt = True
+        except (OSError, HTTPError):
+            pass
+        finished = time.monotonic()
+        rtt = finished - started if upstream is not None else None
+        with self._lock:
+            reply = self.engine.complete_pull(pull, upstream, finished,
+                                              home_down=home_down, rtt=rtt,
+                                              corrupt=corrupt)
+        return reply.response
+
     def _complete_dispatch(self, conn: _Connection, request: Request,
                            response: Response) -> None:
         """Loop-side completion of an executor dispatch."""
@@ -592,9 +665,8 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         conn.out.append(response.serialize_head())
         body = response.body
         if response.body_file is not None and not body:
-            # No sendfile on a nonblocking loop socket (the engine leaves
-            # sendfile_enabled off for this host); read defensively in
-            # case a FileBody response arrives by another route.
+            # The engine never emits a FileBody; read defensively in case
+            # one arrives by another route.
             with open(response.body_file.path, "rb") as handle:
                 body = handle.read()
         conn.out.append(body)
@@ -699,7 +771,7 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         if self.journal is not None:
             # Interval-policy fsync off the loop: the fsync blocks on
             # disk, which is exactly what the loop thread must not do.
-            self._executor.submit(self._durability_tick, now)
+            self._executor.submit(self.journal.maybe_sync, now)
         if self.snapshot_path and \
                 now - self._last_snapshot >= self.snapshot_interval:
             self._last_snapshot = now
@@ -723,3 +795,64 @@ class AsyncDCWSServer(BlockingDirectiveMixin, DurabilityMixin):
         """Periodic checkpoint (executor thread, off the loop)."""
         with self._lock:
             self._checkpoint_state(time.monotonic())
+
+    # ------------------------------------------------------------------
+    # Durability: snapshot + journal lifecycle
+    # ------------------------------------------------------------------
+
+    def _recover_state(self, now: float) -> None:
+        """Initialize + restore the engine; open the journal for append.
+
+        Caller holds the engine lock.  Recovery scans the journal
+        read-only *before* opening it for append, so a torn tail is
+        observed (and reported in the recovery stats) rather than being
+        silently truncated by the open.  Without a journal this is the
+        legacy snapshot-only restore.
+        """
+        from repro.server import persistence
+
+        if self.journal_path:
+            from repro.server.wal import WriteAheadJournal
+
+            stats = persistence.recover(self.engine, self.snapshot_path,
+                                        self.journal_path, now)
+            config = self.engine.config
+            self.journal = WriteAheadJournal(
+                self.journal_path,
+                location=str(self.engine.location),
+                fsync_policy=config.wal_fsync,
+                fsync_interval=config.wal_fsync_interval,
+                epoch=stats.resume_epoch,
+                start_lsn=stats.resume_lsn,
+                faults=self._journal_faults)
+            self.engine.attach_journal(self.journal)
+            return
+        self.engine.initialize(now)
+        if self.snapshot_path:
+            persistence.restore_from_file(self.engine, self.snapshot_path,
+                                          now)
+
+    def _checkpoint_state(self, now: float) -> None:
+        """Durable snapshot (+ journal truncation).  Caller holds the
+        engine lock; without a snapshot path there is nothing to do —
+        the journal alone keeps growing until one is configured."""
+        from repro.server import persistence
+
+        if not self.snapshot_path:
+            return
+        if self.journal is not None:
+            persistence.checkpoint(self.engine, self.snapshot_path, now)
+        else:
+            persistence.save_snapshot(self.engine, self.snapshot_path, now)
+
+
+def close_quietly(connection: socket.socket) -> None:
+    """Shut down and close a socket, swallowing transport errors."""
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        connection.close()
+    except OSError:
+        pass

@@ -15,8 +15,8 @@ serve hot path:
   updates, migration/revocation dirtying) change the key, and
   regeneration explicitly invalidates, so a stale body is never served.
 
-Both caches keep their own locking: the threaded server touches them
-from worker threads outside the engine lock (lock-scope reduction), and
+Both caches keep their own locking: the socket server touches them
+from executor threads outside the engine lock (lock-scope reduction), and
 the counters feed the admin endpoint and benchmarks.  With ``stripes >
 1`` the lock (and the LRU structure) is partitioned by
 ``hash(name) % stripes`` — per-shard locks, so concurrent readers of
@@ -192,14 +192,6 @@ class CachingStore(DocumentStore):
 
     def items(self) -> Iterator[Tuple[str, bytes]]:
         return self.inner.items()
-
-    def sendfile_source(self, name: str) -> Optional[Tuple[str, int]]:
-        """Delegate zero-copy sourcing to the inner store — unless the
-        bytes are already memory-resident here, in which case reading
-        from cache beats a sendfile syscall pair."""
-        if name in self.cache:
-            return None
-        return self.inner.sendfile_source(name)
 
 
 @dataclass(frozen=True)

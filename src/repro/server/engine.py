@@ -18,11 +18,11 @@ moving bytes over a network:
 The engine never sleeps, spawns threads, or opens sockets.  Time is an
 explicit ``now`` argument and all outbound communication is returned as
 *directives* (:class:`PullFromHome`, :class:`OutboundAction`) that the host
-— the real threaded server or the simulator — executes and completes.
+— the real socket server or the simulator — executes and completes.
 This is what lets the benchmarks drive the identical policy code under
 virtual time.
 
-The engine is not itself thread-safe; hosts serialize access (the threaded
+The engine is not itself thread-safe; hosts serialize access (the socket
 server with a lock, the simulator by construction).
 
 A note on the naming convention's pull-through property: a co-op serves
@@ -83,7 +83,6 @@ from repro.html.serializer import serialize_html
 from repro.html.template import LinkTemplate, build_link_template
 from repro.http.headers import Headers
 from repro.http.messages import (
-    FileBody,
     Request,
     Response,
     error_response,
@@ -112,7 +111,7 @@ from repro.server.integrity import (
     REASON_SCRUB,
     REASON_SERVE,
 )
-from repro.server.replication import ReplicationManager
+from repro.server.replication import ReplicationManager, stable_digest
 from repro.server.striping import ShardVersions
 
 if TYPE_CHECKING:
@@ -194,7 +193,7 @@ class RegenerateAndServe:
     """Directive: a dirty document must be regenerated before serving.
 
     Only emitted when the host opted in (``engine.defer_regeneration``,
-    set by the threaded server): the host runs
+    set by the socket server): the host runs
     :meth:`DCWSEngine.regeneration_plan` under its engine lock, performs
     the splice *outside* the lock (guarded per document so two workers
     never regenerate the same name concurrently), commits via
@@ -328,13 +327,9 @@ class DCWSEngine:
         # bump a document's *version* without touching its bytes, so the
         # template stays valid across them.
         self._templates: Dict[str, LinkTemplate] = {}
-        # Host capability: the threaded server sets this so dirty-document
+        # Host capability: the socket server sets this so dirty-document
         # regeneration runs outside its engine lock (RegenerateAndServe).
         self.defer_regeneration = False
-        # Host capability: front ends that can deliver a FileBody with
-        # os.sendfile set this; large clean disk-backed GETs then skip
-        # the byte read entirely (see _respond_home).
-        self.sendfile_enabled = False
         # Multi-process hosts install a callable here returning the
         # supervisor's per-worker roster for /~dcws/workers.
         self.worker_view = None
@@ -834,37 +829,6 @@ class DCWSEngine:
             self.stats.conditional_304s += 1
             return self._finish(request, response, now, doc_name=record.name,
                                 reconstructed=reconstructed, spliced=spliced)
-        if self.sendfile_enabled and request.method == "GET" \
-                and request.headers.get("Range") is None \
-                and (self.entry_gate is None or not record.entry_point):
-            # Zero-copy delivery of large disk-backed bodies: hand the
-            # transport a FileBody for os.sendfile instead of reading the
-            # bytes.  Deliberately bypasses the byte/response caches so
-            # one big file cannot flush the hot set; small documents (or
-            # ones already byte-cached) keep the cached path below.
-            source = self.store.sendfile_source(record.name)
-            if source is not None \
-                    and source[1] >= self.config.sendfile_min_bytes:
-                disk_path, size = source
-                response = Response(
-                    status=StatusCode.OK,
-                    body_file=FileBody(path=disk_path, size=size))
-                response.headers.set("Content-Type", record.content_type)
-                response.headers.set("Content-Length", str(size))
-                response.headers.set("Accept-Ranges", "bytes")
-                response.headers.set("ETag", etag)
-                response.headers.set("Last-Modified", last_modified)
-                response.headers.set(VERSION_HEADER, str(record.version))
-                if record.digest:
-                    # Stamped from the record, not from re-hashing the
-                    # file: in-transit verification must not cost the
-                    # zero-copy path a body read.
-                    response.headers.set(DIGEST_HEADER, record.digest)
-                self.stats.responses_200 += 1
-                return self._finish(request, response, now,
-                                    doc_name=record.name,
-                                    reconstructed=reconstructed,
-                                    spliced=spliced)
         cached = self.response_cache.get(record.name, record.version,
                                          request.method)
         if cached is None:
@@ -1036,8 +1000,8 @@ class DCWSEngine:
         """Choose among a migrated document's locations.
 
         With the prototype's single-location rule this is just the primary;
-        with replication enabled the choice is a deterministic hash so load
-        spreads without per-request state.
+        with replicas the choice is a crc32 digest of (name, salt), so load
+        spreads without per-request state and every process picks alike.
         """
         if self.replication is not None:
             # Replication groups: power-of-two-choices over the live
@@ -1046,7 +1010,7 @@ class DCWSEngine:
         locations = sorted(record.locations(), key=str)
         if len(locations) == 1:
             return locations[0]
-        index = hash((record.name, salt)) % len(locations)
+        index = stable_digest(record.name, salt) % len(locations)
         return locations[index]
 
     # -- co-op (migrated) documents -------------------------------------
@@ -1233,12 +1197,7 @@ class DCWSEngine:
             if content_type:
                 hosted.content_type = content_type
             self._clear_quarantine(pull.key)
-        # Jitter each document's first validation deadline so documents
-        # pulled in a burst (e.g. right after a warm start) do not
-        # re-validate in synchronized storms that flood the home server.
-        jitter = (hash(pull.key) % 997) / 997.0
-        self.validation.register(
-            pull.key, now - jitter * self.config.validation_interval)
+        self._register_validation(pull.key, now)
         self.log.record(now, "pull", key=pull.key, home=str(pull.home),
                         bytes=hosted.size)
         self.stats.pulls_completed += 1
@@ -1378,7 +1337,7 @@ class DCWSEngine:
             # quarantined is repaired by construction.
             self._clear_quarantine(record.name)
 
-    # -- deferred regeneration (threaded host, off the engine lock) ------
+    # -- deferred regeneration (socket host, off the engine lock) --------
 
     def regeneration_plan(self, name: str) -> Optional[RegenerationPlan]:
         """Capture an off-lock splice plan for *name* (host holds the
@@ -1463,8 +1422,8 @@ class DCWSEngine:
     def tick(self, now: float) -> List[OutboundAction]:
         """Run any periodic work due at *now*; return transfer directives.
 
-        Hosts call this regularly (the threaded server from its pinger and
-        statistics threads, the simulator from scheduled events).
+        Hosts call this regularly (the socket server from its event-loop
+        tick, the simulator from scheduled events).
         """
         self._clock = now
         actions: List[OutboundAction] = []
@@ -2052,7 +2011,17 @@ class DCWSEngine:
                           digest=hosted.digest)
             self.store.put(key, data)
             self.response_cache.invalidate(key)
-        jitter = (hash(key) % 997) / 997.0
+        self._register_validation(key, now)
+
+    def _register_validation(self, key: str, now: float) -> None:
+        """Start validating a freshly installed co-op copy.
+
+        Each document's first deadline is jittered so documents pulled
+        in a burst (e.g. right after a warm start) do not re-validate in
+        synchronized storms that flood the home server.  The jitter is a
+        crc32 digest of the key, so every process schedules alike.
+        """
+        jitter = (stable_digest(key, "validation") % 997) / 997.0
         self.validation.register(
             key, now - jitter * self.config.validation_interval)
 

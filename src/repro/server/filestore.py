@@ -5,7 +5,7 @@ both live in a :class:`DocumentStore`.  Two implementations:
 
 - :class:`MemoryStore` — a dict; used by the simulator and unit tests;
 - :class:`DiskStore` — files under a root directory; used by the real
-  threaded server, matching the prototype (documents "directly related to
+  socket server, matching the prototype (documents "directly related to
   the name of the file on the server's local disk", section 3.3).
 
 Document names are absolute URL paths (``/dir/foo.html``).
@@ -98,13 +98,6 @@ class DocumentStore(ABC):
     def items(self) -> Iterator[Tuple[str, bytes]]:
         for name in self.names():
             yield name, self.get(name)
-
-    def sendfile_source(self, name: str) -> Optional[Tuple[str, int]]:
-        """``(path, size)`` when *name*'s bytes can be served straight
-        off a disk file via ``os.sendfile``; ``None`` when they cannot
-        (memory-resident stores, wrapped stores, missing files).  The
-        base store has no disk presence."""
-        return None
 
 
 class MemoryStore(DocumentStore):
@@ -263,20 +256,3 @@ class DiskStore(DocumentStore):
             return os.path.isfile(self._fs_path(name))
         except DocumentNotFound:
             return False
-
-    def sendfile_source(self, name: str) -> Optional[Tuple[str, int]]:
-        """``(path, size)`` for a plain on-disk document.
-
-        Declined under fault injection: the injected-read chaos paths
-        must keep flowing through :meth:`get` so they degrade to 404
-        exactly as before, not surface as transport errors mid-send.
-        """
-        if self.faults is not None:
-            return None
-        try:
-            path = self._fs_path(name)
-            if not os.path.isfile(path):
-                return None
-            return path, os.path.getsize(path)
-        except (DocumentNotFound, OSError):
-            return None

@@ -63,7 +63,7 @@ from repro.http.messages import (
     parse_response,
 )
 from repro.server.aio import AsyncDCWSServer
-from repro.server.engine import DCWSEngine, RegenerateAndServe
+from repro.server.engine import DCWSEngine, EngineReply, RegenerateAndServe
 from repro.server.striping import shard_of
 
 #: Environment override: "reuseport", "fd-handoff", or "none".
@@ -313,16 +313,13 @@ class _WorkerHost(AsyncDCWSServer):
                            "response": payload})
 
     def _dispatch_local(self, request: Request) -> Response:
-        """Threaded-style blocking dispatch, directives executed here."""
-        from repro.server.engine import EngineReply
-
+        """Blocking dispatch on this thread; directives execute here and
+        are never forwarded."""
         with self._lock:
             result = self.engine.handle_request(request, time.monotonic())
         if isinstance(result, EngineReply):
             return result.response
-        if isinstance(result, RegenerateAndServe):
-            return self._execute_regeneration(result)
-        return self._execute_pull(result)
+        return super()._directive_work(result)
 
     # -- admin view -------------------------------------------------------
 

@@ -52,7 +52,7 @@ STATE_CRITICAL = "critical"
 _STATE_PRIORITY = {STATE_CRITICAL: 0, STATE_DEGRADED: 1, STATE_HEALTHY: 2}
 
 
-def _digest(name: str, salt: str) -> int:
+def stable_digest(name: str, salt: str) -> int:
     """Deterministic (cross-process, cross-run) pick digest.
 
     ``hash()`` is salted per process; crc32 keeps replica choice stable
@@ -269,7 +269,7 @@ class ReplicationManager:
         candidates = live or holders
         if len(candidates) == 1:
             return candidates[0]
-        digest = _digest(record.name, salt)
+        digest = stable_digest(record.name, salt)
         first = digest % len(candidates)
         second = (digest >> 16) % (len(candidates) - 1)
         if second >= first:

@@ -3,7 +3,7 @@
 The serve-path caches (link templates, byte cache, rendered-response
 cache) must never outlive the state they were rendered from: a
 migrate -> revoke -> re-migrate cycle has to produce fresh hyperlinks and
-fresh bytes at every step, both on a bare engine and through the threaded
+fresh bytes at every step, both on a bare engine and through the socket
 server over real sockets.
 """
 
@@ -15,9 +15,9 @@ import pytest
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.messages import Request
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
 from repro.client.realclient import fetch_url, http_fetch
 from repro.http.urls import URL
 
@@ -133,7 +133,7 @@ def free_port() -> int:
 
 @pytest.fixture()
 def pair():
-    """A running (home, coop) ThreadedDCWSServer pair on loopback."""
+    """A running (home, coop) AsyncDCWSServer pair on loopback."""
     home_loc = Location("127.0.0.1", free_port())
     coop_loc = Location("127.0.0.1", free_port())
     config = ServerConfig(stats_interval=0.5, pinger_interval=0.5,
@@ -143,8 +143,8 @@ def pair():
                              entry_points=["/index.html"], peers=[coop_loc])
     coop_engine = DCWSEngine(coop_loc, config, MemoryStore(),
                              peers=[home_loc])
-    home = ThreadedDCWSServer(home_engine, tick_period=0.1)
-    coop = ThreadedDCWSServer(coop_engine, tick_period=0.1)
+    home = AsyncDCWSServer(home_engine, tick_period=0.1)
+    coop = AsyncDCWSServer(coop_engine, tick_period=0.1)
     home.start()
     coop.start()
     try:
@@ -154,7 +154,7 @@ def pair():
         coop.stop()
 
 
-def sock_get(server: ThreadedDCWSServer, path: str):
+def sock_get(server: AsyncDCWSServer, path: str):
     response = http_fetch(Location("127.0.0.1", server.port),
                           Request(method="GET", target=path))
     return response.status, response.body

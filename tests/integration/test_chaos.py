@@ -39,10 +39,10 @@ from repro.core.document import Location
 from repro.faults import FaultPlan
 from repro.http.messages import Request
 from repro.http.urls import URL
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
 from repro.server.fsck import assert_clean
-from repro.server.threaded import ThreadedDCWSServer
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -53,20 +53,20 @@ SITE = {
 }
 
 #: Stand-alone co-op process for the SIGKILL scenario: starts a real
-#: threaded server, prints READY, then idles until killed.
+#: socket server, prints READY, then idles until killed.
 COOP_SCRIPT = """\
 import sys, time
 from repro.core.config import ServerConfig
 from repro.core.document import Location
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
 
 coop_port, home_port = int(sys.argv[1]), int(sys.argv[2])
 config = ServerConfig(stats_interval=60.0, pinger_interval=60.0)
 engine = DCWSEngine(Location("127.0.0.1", coop_port), config, MemoryStore(),
                     peers=[Location("127.0.0.1", home_port)])
-server = ThreadedDCWSServer(engine, tick_period=0.1)
+server = AsyncDCWSServer(engine, tick_period=0.1)
 server.start()
 print("READY", flush=True)
 while True:
@@ -126,7 +126,7 @@ class TestCoopCrash:
         engine = DCWSEngine(Location("127.0.0.1", home_port), config,
                             MemoryStore(SITE), entry_points=["/index.html"],
                             peers=[coop_loc])
-        home = ThreadedDCWSServer(engine, tick_period=0.1)
+        home = AsyncDCWSServer(engine, tick_period=0.1)
         home.start()
 
         script = tmp_path / "coop.py"
@@ -193,8 +193,8 @@ class TestPartition:
         coop_engine = DCWSEngine(coop_loc, config, MemoryStore(),
                                  peers=[home_loc])
         plan = FaultPlan(seed=SEED)
-        home = ThreadedDCWSServer(home_engine, tick_period=0.1)
-        coop = ThreadedDCWSServer(coop_engine, tick_period=0.1, faults=plan)
+        home = AsyncDCWSServer(home_engine, tick_period=0.1)
+        coop = AsyncDCWSServer(coop_engine, tick_period=0.1, faults=plan)
         home.start()
         coop.start()
         home_key = f"127.0.0.1:{home_port}"
@@ -248,15 +248,15 @@ class TestRestartUnderLoad:
         config = ServerConfig(stats_interval=60.0, pinger_interval=60.0)
         coop_engine = DCWSEngine(coop_loc, config, MemoryStore(),
                                  peers=[home_loc])
-        coop = ThreadedDCWSServer(coop_engine, tick_period=0.1)
+        coop = AsyncDCWSServer(coop_engine, tick_period=0.1)
         coop.start()
 
         def make_home():
             engine = DCWSEngine(home_loc, config, store,
                                 entry_points=["/index.html"],
                                 peers=[coop_loc])
-            return ThreadedDCWSServer(engine, tick_period=0.1,
-                                      snapshot_path=snapshot)
+            return AsyncDCWSServer(engine, tick_period=0.1,
+                                   snapshot_path=snapshot)
 
         first = make_home()
         first.start()
@@ -311,7 +311,7 @@ class TestCoopRestartUnderLoad:
         home_engine = DCWSEngine(home_loc, config, MemoryStore(SITE),
                                  entry_points=["/index.html"],
                                  peers=[coop_loc])
-        home = ThreadedDCWSServer(home_engine, tick_period=0.1)
+        home = AsyncDCWSServer(home_engine, tick_period=0.1)
         home.start()
 
         def make_coop():
@@ -319,9 +319,9 @@ class TestCoopRestartUnderLoad:
             # NOT survive the restart, only snapshot + journal do.
             engine = DCWSEngine(coop_loc, config, MemoryStore(),
                                 peers=[home_loc])
-            return ThreadedDCWSServer(engine, tick_period=0.1,
-                                      snapshot_path=snapshot,
-                                      journal_path=journal)
+            return AsyncDCWSServer(engine, tick_period=0.1,
+                                   snapshot_path=snapshot,
+                                   journal_path=journal)
 
         first = make_coop()
         first.start()
@@ -398,7 +398,7 @@ class TestReplicaHolderCrash:
             Location("127.0.0.1", home_port), config, MemoryStore(SITE),
             entry_points=["/index.html"],
             peers=[Location("127.0.0.1", p) for p in coop_ports])
-        home = ThreadedDCWSServer(engine, tick_period=0.1)
+        home = AsyncDCWSServer(engine, tick_period=0.1)
 
         script = tmp_path / "coop.py"
         script.write_text(COOP_SCRIPT)
@@ -540,13 +540,13 @@ class TestFalseDeathRediscovery:
         home_engine = DCWSEngine(home_loc, config, MemoryStore(SITE),
                                  entry_points=["/index.html"],
                                  peers=coop_locs)
-        home = ThreadedDCWSServer(home_engine, tick_period=0.1,
-                                  faults=home_plan)
+        home = AsyncDCWSServer(home_engine, tick_period=0.1,
+                               faults=home_plan)
         coops = []
         for index, loc in enumerate(coop_locs):
             engine = DCWSEngine(loc, config, MemoryStore(),
                                 peers=[home_loc])
-            coops.append(ThreadedDCWSServer(
+            coops.append(AsyncDCWSServer(
                 engine, tick_period=0.1,
                 faults=victim_plan if index == 0 else None))
         victim = coop_locs[0]
@@ -703,8 +703,8 @@ class TestCorruptionQuarantine:
         home_engine = DCWSEngine(home_loc, config, MemoryStore(SITE),
                                  entry_points=["/index.html"],
                                  peers=coop_locs)
-        home = ThreadedDCWSServer(home_engine, tick_period=0.1)
-        coops = [ThreadedDCWSServer(
+        home = AsyncDCWSServer(home_engine, tick_period=0.1)
+        coops = [AsyncDCWSServer(
             DCWSEngine(loc, config, MemoryStore(), peers=[home_loc]),
             tick_period=0.1) for loc in coop_locs]
         victim = coops[0]

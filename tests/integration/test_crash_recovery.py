@@ -7,7 +7,7 @@ the single in-flight mutation may additionally appear, and the invariant
 checker (:mod:`repro.server.fsck`) passes.  No forgotten migrations, no
 lost documents.
 
-The harness runs a real :class:`ThreadedDCWSServer` subprocess with
+The harness runs a real :class:`AsyncDCWSServer` subprocess with
 ``wal_fsync="always"`` over a real on-disk store and journal.  The
 parent drives a seeded mutation plan step by step over a stdin/stdout
 handshake (``GO`` → mutate → ``ACK``), SIGKILLs the child at
@@ -37,10 +37,10 @@ import repro
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.faults import FaultPlan, FaultRule, InjectedDiskError
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import DiskStore, MemoryStore
 from repro.server.fsck import check_engine
-from repro.server.threaded import ThreadedDCWSServer
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
@@ -137,10 +137,10 @@ import json, sys, time
 
 from repro.core.config import ServerConfig
 from repro.core.document import Location
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import DiskStore
 from repro.server.fsck import check_engine
-from repro.server.threaded import ThreadedDCWSServer
 
 mode, root, snapshot, journal, port = sys.argv[1:6]
 plan = json.load(open(sys.argv[6])) if len(sys.argv) > 6 else []
@@ -150,8 +150,8 @@ config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
 engine = DCWSEngine(Location("127.0.0.1", int(port)), config,
                     DiskStore(root), entry_points=["/index.html"],
                     peers=[coop])
-server = ThreadedDCWSServer(engine, tick_period=0.05,
-                            snapshot_path=snapshot, journal_path=journal)
+server = AsyncDCWSServer(engine, tick_period=0.05,
+                         snapshot_path=snapshot, journal_path=journal)
 server.start()
 
 if mode == "dump":
@@ -340,7 +340,7 @@ class TestJournalFaultInjection:
         engine = DCWSEngine(Location("127.0.0.1", free_port()), config,
                             store, entry_points=["/index.html"],
                             peers=[COOP])
-        server = ThreadedDCWSServer(
+        server = AsyncDCWSServer(
             engine, tick_period=10.0,
             snapshot_path=str(tmp_path / "home.snapshot"),
             journal_path=journal_path, faults=plan)
@@ -348,16 +348,15 @@ class TestJournalFaultInjection:
         return server, journal_path
 
     def crash(self, server):
-        """Die without the clean-stop checkpoint: threads stop, listener
-        closes, but no snapshot is written and the journal file is left
-        exactly as the last append (or torn append) left it."""
+        """Die without the clean-stop checkpoint: the loop and executor
+        stop, the listener closes, but no snapshot is written and the
+        journal file is left exactly as the last append (or torn append)
+        left it."""
         server._stop.set()
-        if server._listener is not None:
-            server._listener.close()
-        for thread in server._threads:
-            thread.join(timeout=5.0)
+        server._wake()
+        server._thread.join(timeout=5.0)
+        server._executor.shutdown(wait=True)
         server.pool.close()
-        server._listener = None
 
     def run_until_fault(self, server, plan_steps):
         applied = 0

@@ -1,5 +1,6 @@
 """Strict-framing regression: a corpus of request-smuggling and
-Content-Length desync payloads replayed against both live front ends.
+Content-Length desync payloads replayed against the live front end, over both
+of the event loop's accept paths.
 
 Every entry must be answered with 400 — never executed, never allowed to
 shift the framing of what follows.  After each payload the server must
@@ -18,9 +19,9 @@ from repro.core.document import Location
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
+from tests.integration.accept_thread import AcceptThreadServer
 
-FRONT_ENDS = {"threaded": ThreadedDCWSServer, "aio": AsyncDCWSServer}
+FRONT_ENDS = {"threaded": AcceptThreadServer, "aio": AsyncDCWSServer}
 
 PROBE_BODY = b"<html>probe</html>"
 SITE = {"/probe.html": PROBE_BODY}

@@ -15,9 +15,9 @@ from repro.client.realclient import fetch_url, read_framed_response
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.urls import URL
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a></html>',
@@ -32,13 +32,13 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
-def start_server(**config_kwargs) -> ThreadedDCWSServer:
+def start_server(**config_kwargs) -> AsyncDCWSServer:
     loc = Location("127.0.0.1", free_port())
     config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
                           **config_kwargs)
     engine = DCWSEngine(loc, config, MemoryStore(dict(SITE)),
                         entry_points=["/index.html"])
-    server = ThreadedDCWSServer(engine)
+    server = AsyncDCWSServer(engine)
     server.start()
     return server
 
@@ -172,38 +172,40 @@ class TestRequestReadHardening:
 
 class TestLockFreeDropCounter:
     def test_503_sent_while_engine_lock_is_held(self):
-        """Regression: recording a drop used to grab the engine lock on the
-        front-end thread, stalling the accept loop under exactly the
+        """Regression: recording a drop must never wait for the engine
+        lock — the accept edge has to keep shedding under exactly the
         overload that causes drops."""
         loc = Location("127.0.0.1", free_port())
-        config = ServerConfig(worker_threads=1, socket_queue_length=1,
-                              stats_interval=60.0, pinger_interval=60.0)
+        config = ServerConfig(max_connections=2, stats_interval=60.0,
+                              pinger_interval=60.0)
         engine = DCWSEngine(loc, config, MemoryStore(dict(SITE)))
-        srv = ThreadedDCWSServer(engine, request_timeout=5.0,
-                                 tick_period=0.1)
+        # No tick inside the test window: the drain happens on demand.
+        srv = AsyncDCWSServer(engine, request_timeout=5.0, tick_period=60.0)
         srv.start()
         held = []
         try:
             srv._lock.acquire()
             try:
-                # Stall the only worker and fill the one-slot queue.
+                # Fill the connection cap with idle clients.
                 for __ in range(2):
                     held.append(socket.create_connection(
                         ("127.0.0.1", srv.port), timeout=5.0))
-                    time.sleep(0.2)
-                # The next connection must be 503-dropped by the front-end
-                # even though the engine lock is held.
+                # The next connection must be 503-shed at the accept edge
+                # within a second even though the engine lock is held.
                 extra = socket.create_connection(("127.0.0.1", srv.port),
                                                  timeout=5.0)
                 held.append(extra)
-                extra.settimeout(2.0)
+                extra.settimeout(1.0)
                 data = extra.recv(65536)
                 assert b"503" in data.split(b"\r\n")[0]
                 assert srv._drops_recorded >= 1
+                assert engine.metrics.drops.lifetime_count == 0
             finally:
                 srv._lock.release()
-            # Once the lock is free, the periodic thread drains the counter
-            # into the engine metrics.
+            # Once the lock is free, a tick drains the counter into the
+            # engine metrics.
+            srv._next_tick = 0.0
+            srv._wake()
             deadline = time.time() + 5.0
             while time.time() < deadline:
                 with srv._lock:
@@ -235,8 +237,8 @@ class TestServerToServerPooling:
                                  peers=[coop_loc])
         coop_engine = DCWSEngine(coop_loc, config, MemoryStore(),
                                  peers=[home_loc])
-        home = ThreadedDCWSServer(home_engine, tick_period=0.1)
-        coop = ThreadedDCWSServer(coop_engine, tick_period=0.1)
+        home = AsyncDCWSServer(home_engine, tick_period=0.1)
+        coop = AsyncDCWSServer(coop_engine, tick_period=0.1)
         home.start()
         coop.start()
         try:

@@ -1,4 +1,10 @@
-"""Real-socket overload behaviour: the front-end's graceful 503 drop."""
+"""Real-socket overload behaviour: the front-end's graceful 503 drop.
+
+Connections here arrive through the accept-thread handoff
+(:meth:`AsyncDCWSServer.adopt_connection`) and stall without sending a
+byte, so admission control must count sockets it has only adopted, not
+requests it has parsed.
+"""
 
 import socket
 import time
@@ -9,7 +15,7 @@ from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
+from tests.integration.accept_thread import AcceptThreadServer
 
 
 def free_port() -> int:
@@ -20,13 +26,14 @@ def free_port() -> int:
 
 @pytest.fixture()
 def tiny_server():
-    """One worker, queue length one: trivially overloadable."""
+    """Two connection slots: trivially overloadable."""
     loc = Location("127.0.0.1", free_port())
-    config = ServerConfig(worker_threads=1, socket_queue_length=1,
+    config = ServerConfig(max_connections=2,
                           stats_interval=60.0, pinger_interval=60.0)
     engine = DCWSEngine(loc, config, MemoryStore(
         {"/a.html": b"<html>tiny</html>"}))
-    server = ThreadedDCWSServer(engine, request_timeout=3.0)
+    server = AcceptThreadServer(engine, request_timeout=3.0,
+                                tick_period=0.1)
     server.start()
     try:
         yield server
@@ -35,7 +42,7 @@ def tiny_server():
 
 
 def open_stalled_connection(port: int) -> socket.socket:
-    """Connect but send nothing: occupies a worker until its timeout."""
+    """Connect but send nothing: holds a slot until its timeout."""
     connection = socket.create_connection(("127.0.0.1", port), timeout=5.0)
     return connection
 
@@ -44,8 +51,8 @@ def test_queue_overflow_answers_503(tiny_server):
     port = tiny_server.port
     held = []
     try:
-        # First connection occupies the only worker (blocked reading);
-        # second fills the queue; give the front-end time to hand off.
+        # Two silent connections fill both slots; give the accept thread
+        # time to hand each one to the loop.
         for __ in range(2):
             held.append(open_stalled_connection(port))
             time.sleep(0.2)

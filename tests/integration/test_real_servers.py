@@ -1,11 +1,12 @@
-"""End-to-end tests over real sockets, against both front ends.
+"""End-to-end tests over real sockets.
 
 Two DCWS servers run on loopback ports; a real HTTP client exercises
 serving, migration, redirection, lazy pulls, piggybacking and the
 periodic machinery — the same flows the simulator models, on actual TCP
-connections.  The whole suite is parametrized over the two socket front
-ends (thread-per-connection and the selectors event loop), which must be
-behaviourally identical: same engine, same protocol code, same answers.
+connections.  The whole suite is parametrized over the two ways a
+connection reaches the event loop — its own accept path and a dedicated
+accept thread handing sockets over (see ``accept_thread``) — which must
+be behaviourally identical: same engine, same protocol code, same answers.
 """
 
 import socket
@@ -23,9 +24,9 @@ from repro.http.urls import URL
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
+from tests.integration.accept_thread import AcceptThreadServer
 
-FRONT_ENDS = {"threaded": ThreadedDCWSServer, "aio": AsyncDCWSServer}
+FRONT_ENDS = {"threaded": AcceptThreadServer, "aio": AsyncDCWSServer}
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a><img src="i.gif"></html>',
@@ -44,7 +45,7 @@ def free_port() -> int:
 
 @pytest.fixture(params=sorted(FRONT_ENDS))
 def pair(request):
-    """A running (home, coop) server pair on loopback, per front end."""
+    """A running (home, coop) server pair on loopback, per accept path."""
     server_cls = FRONT_ENDS[request.param]
     home_loc = Location("127.0.0.1", free_port())
     coop_loc = Location("127.0.0.1", free_port())
@@ -324,6 +325,6 @@ class TestLifecycle:
         loc = Location("127.0.0.1", free_port())
         engine = DCWSEngine(loc, ServerConfig(), MemoryStore(SITE),
                             entry_points=["/index.html"])
-        with ThreadedDCWSServer(engine) as server:
+        with AsyncDCWSServer(engine) as server:
             assert server.wait_ready()
             assert fetch_url(url_of(server, "/e.html")).status == 200

@@ -12,17 +12,17 @@ from repro.http.urls import URL
 from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
+from tests.integration.accept_thread import AcceptThreadServer
 
 SITE = {
     "/index.html": b'<html><a href="d.html">D</a></html>',
     "/d.html": b"<html>doc</html>",
 }
 
-#: Both socket front ends host the same engine and the same persistence
+#: Both accept paths host the same engine and the same persistence
 #: hooks; restart recovery must hold for each.
 FRONT_ENDS = [
-    pytest.param(ThreadedDCWSServer, id="threaded"),
+    pytest.param(AcceptThreadServer, id="threaded"),
     pytest.param(AsyncDCWSServer, id="aio"),
 ]
 
@@ -79,7 +79,7 @@ def test_restart_without_snapshot_forgets(tmp_path):
     config = ServerConfig(stats_interval=60.0, pinger_interval=60.0)
     engine = DCWSEngine(Location("127.0.0.1", port), config, store,
                         entry_points=["/index.html"], peers=[coop])
-    first = ThreadedDCWSServer(engine, tick_period=0.1)  # no snapshot_path
+    first = AsyncDCWSServer(engine, tick_period=0.1)  # no snapshot_path
     first.start()
     try:
         with first._lock:
@@ -90,7 +90,7 @@ def test_restart_without_snapshot_forgets(tmp_path):
 
     engine2 = DCWSEngine(Location("127.0.0.1", port), config, store,
                          entry_points=["/index.html"], peers=[coop])
-    second = ThreadedDCWSServer(engine2, tick_period=0.1)
+    second = AsyncDCWSServer(engine2, tick_period=0.1)
     second.start()
     try:
         response = fetch_url(URL("127.0.0.1", port, "/d.html"),

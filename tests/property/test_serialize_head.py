@@ -1,10 +1,9 @@
 """Property: ``serialize_head() + body`` is byte-identical to
 ``serialize()`` for every response.
 
-The zero-copy send paths (``socket.sendmsg([head, body])`` gather
-writes, ``serialize_head()`` + ``os.sendfile`` for disk-backed bodies)
-rely on this split never changing a single wire byte relative to the
-monolithic serializer.
+The zero-copy send path (``socket.sendmsg([head, body])`` gather
+writes) relies on this split never changing a single wire byte relative
+to the monolithic serializer.
 """
 
 from hypothesis import given, settings, strategies as st

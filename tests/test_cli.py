@@ -23,6 +23,14 @@ class TestParser:
         assert args.peer == ["other:80"]
         assert args.entry == ["/home.html"]
 
+    def test_front_end_flag_rejected(self, capsys):
+        """serve has one socket front end, so a front-end selector is
+        an argparse error."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--root", "/tmp/site", "--front-end", "aio"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate"])
         assert args.dataset == "lod"
@@ -105,6 +113,12 @@ class TestServeCommand:
             status = fetch_url(URL("127.0.0.1", port, "/~dcws/status"),
                                timeout=1.0)
             assert status.status == 200
+            # The startup line names the host class.
+            out = ""
+            while "DCWS server on" not in out and time.time() < deadline:
+                out += capsys.readouterr().out
+                time.sleep(0.05)
+            assert "AsyncDCWSServer" in out
         finally:
             # The serve loop only exits on KeyboardInterrupt; the daemon
             # thread dies with the test process.

@@ -17,9 +17,9 @@ from repro.faults import FaultPlan, FaultRule
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.messages import Request
+from repro.server.aio import AsyncDCWSServer
 from repro.server.engine import DCWSEngine
 from repro.server.filestore import MemoryStore
-from repro.server.threaded import ThreadedDCWSServer
 
 SITE = {"/a.html": b"<html>pooled</html>"}
 
@@ -30,12 +30,12 @@ def free_port() -> int:
         return probe.getsockname()[1]
 
 
-def make_server(**config_kwargs) -> ThreadedDCWSServer:
+def make_server(**config_kwargs) -> AsyncDCWSServer:
     loc = Location("127.0.0.1", free_port())
     config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
                           **config_kwargs)
     engine = DCWSEngine(loc, config, MemoryStore(dict(SITE)))
-    return ThreadedDCWSServer(engine)
+    return AsyncDCWSServer(engine)
 
 
 @pytest.fixture()
@@ -48,7 +48,7 @@ def server():
         srv.stop()
 
 
-def get(pool: ConnectionPool, server: ThreadedDCWSServer, target="/a.html"):
+def get(pool: ConnectionPool, server: AsyncDCWSServer, target="/a.html"):
     peer = Location("127.0.0.1", server.port)
     return pool.fetch(peer, Request(method="GET", target=target))
 

@@ -42,7 +42,6 @@ class TestValidation:
         ("workers", 0),
         ("workers", -2),
         ("lock_stripes", 0),
-        ("sendfile_min_bytes", 0),
     ])
     def test_nonpositive_rejected(self, field, value):
         with pytest.raises(ConfigError):

@@ -1,8 +1,7 @@
-"""The sans-I/O request parser shared by both socket front ends.
+"""The sans-I/O request parser behind the socket front end.
 
-Mirrors the blocking-reader suite (tests/test_server_request_reader.py)
-through :class:`repro.http.wire.RequestParser`, so the one protocol
-implementation both front ends consume is tested at the byte level:
+:class:`repro.http.wire.RequestParser` is the one protocol
+implementation the event loop consumes, tested here at the byte level:
 framing, pipelining, dribbled feeds, EOF semantics, size limits.
 """
 

@@ -4,28 +4,22 @@ Three layers are covered:
 
 - the engine fast path hands out the *same* bytes object the byte cache
   holds (no per-request serialize-and-copy);
-- the threaded front end's gather write (``socket.sendmsg``) puts
-  memoryviews over the head and the cached body on the wire without
-  ever calling the monolithic ``Response.serialize()``;
-- the event-loop out-queue advances through partial writes by slicing
-  memoryviews, never rebuilding byte strings;
-- disk-backed bodies above ``sendfile_min_bytes`` ride ``os.sendfile``
-  (``socket.sendfile``) instead of being read into Python at all.
+- the event-loop out-queue keeps memoryviews over the head and the
+  cached body and advances through partial writes by slicing them,
+  never rebuilding byte strings, and the loop thread's flush hands those
+  views straight to ``sendmsg``;
+- a disk-backed body too large for the byte cache still arrives
+  byte-identical through the loop's partial gather writes.
 """
 
-import os
 import socket
-import time
-
-import pytest
 
 from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.http.messages import Request, Response
-from repro.server.aio import _OutQueue
+from repro.server.aio import AsyncDCWSServer, _Connection, _OutQueue
 from repro.server.engine import DCWSEngine, EngineReply
 from repro.server.filestore import DiskStore, MemoryStore
-from repro.server.threaded import ThreadedDCWSServer, send_response
 
 HOME = Location("127.0.0.1", 8001)
 
@@ -76,7 +70,6 @@ class _RecordingConnection:
 
     def __init__(self, sendmsg_limit=None):
         self.sendmsg_calls = []
-        self.sendall_data = b""
         self.sendmsg_limit = sendmsg_limit
 
     def sendmsg(self, buffers):
@@ -87,11 +80,24 @@ class _RecordingConnection:
             total = min(total, self.sendmsg_limit)
         return total
 
-    def sendall(self, data):
-        self.sendall_data += bytes(data)
+
+def send_response(connection, response):
+    """Queue *response* on a loop connection and flush until it drains.
+
+    An unstarted server has no selector, so ``_flush`` runs the write
+    path alone: the gather write and the out-queue advance.
+    """
+    server = AsyncDCWSServer(make_engine())
+    conn = _Connection(connection, deadline=float("inf"))
+    server._connections[connection] = conn
+    server._queue_response(conn, response)
+    while conn.out:
+        server._flush(conn)
 
 
 class TestThreadedGatherWrite:
+    """The loop thread's flush: head and body go out in one ``sendmsg``."""
+
     def test_sendmsg_receives_view_over_the_exact_body_object(self):
         body = b"B" * 2048
         response = Response(status=200, body=body)
@@ -134,6 +140,8 @@ class TestThreadedGatherWrite:
                     break
         wire = b"".join(wire_parts)
         assert wire == response.serialize_head() + body
+        # Every call after the first still views the original body.
+        assert connection.sendmsg_calls[-1][-1].obj is body
 
 
 class TestOutQueue:
@@ -164,29 +172,20 @@ class TestOutQueue:
         assert not queue
 
 
-class TestSendfilePath:
-    def _serve_tree(self, tmp_path, body):
+class TestLargeDiskBody:
+    def test_large_disk_document_served_byte_identical(self, tmp_path):
         root = tmp_path / "docs"
         root.mkdir()
+        body = b"<html>" + b"s" * 200_000 + b"</html>"
         (root / "big.html").write_bytes(body)
-        (root / "index.html").write_bytes(b"<html>i</html>")
-        store = DiskStore(str(root))
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        config = ServerConfig(stats_interval=1000.0, sendfile_min_bytes=1024,
+        config = ServerConfig(stats_interval=1000.0,
                               byte_cache_bytes=256)  # too small to cache body
-        engine = DCWSEngine(Location("127.0.0.1", port), config, store,
-                            entry_points=[], peers=())
-        engine.initialize(0.0)
-        return engine
-
-    def test_engine_emits_file_body_for_large_disk_documents(self, tmp_path):
-        body = b"<html>" + b"s" * 200_000 + b"</html>"
-        engine = self._serve_tree(tmp_path, body)
-        server = ThreadedDCWSServer(engine, tick_period=5.0)
-        server.start()
-        try:
+        engine = DCWSEngine(Location("127.0.0.1", port), config,
+                            DiskStore(str(root)), entry_points=[], peers=())
+        with AsyncDCWSServer(engine, tick_period=5.0) as server:
             with socket.create_connection(("127.0.0.1", server.port),
                                           timeout=5) as sock:
                 sock.sendall(b"GET /big.html HTTP/1.1\r\nHost: x\r\n"
@@ -197,31 +196,7 @@ class TestSendfilePath:
                     if not chunk:
                         break
                     data += chunk
-        finally:
-            server.stop()
         head, __, got = data.partition(b"\r\n\r\n")
         assert b" 200 " in head.split(b"\r\n", 1)[0]
         assert got == body
         assert f"Content-Length: {len(body)}".encode() in head
-
-    def test_sendfile_source_gated_below_threshold(self, tmp_path):
-        engine = self._serve_tree(tmp_path, b"tiny")
-        engine.sendfile_enabled = True
-        reply = get(engine, "/big.html")
-        assert isinstance(reply, EngineReply)
-        assert reply.response.body_file is None  # under sendfile_min_bytes
-
-    def test_disk_store_reports_path_and_size(self, tmp_path):
-        root = tmp_path / "d"
-        root.mkdir()
-        (root / "a.html").write_bytes(b"x" * 77)
-        store = DiskStore(str(root))
-        source = store.sendfile_source("/a.html")
-        assert source is not None
-        path, size = source
-        assert size == 77
-        assert os.path.isfile(path)
-        assert store.sendfile_source("/missing.html") is None
-
-    def test_memory_store_never_offers_sendfile(self):
-        assert MemoryStore({"/a": b"x"}).sendfile_source("/a") is None
