@@ -119,7 +119,11 @@ class Headers:
         return iter(self._items)
 
     def copy(self) -> "Headers":
-        return Headers(self._items)
+        # Every field was validated when it was added: copy the list,
+        # don't re-run add() on each one.
+        clone = Headers()
+        clone._items = self._items.copy()
+        return clone
 
     def serialize(self) -> str:
         """Render the fields as CRLF-terminated lines (no trailing blank)."""

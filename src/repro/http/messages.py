@@ -70,6 +70,25 @@ class FileBody:
     size: int
 
 
+@dataclass(frozen=True)
+class PrebuiltHead:
+    """A response head rendered once and sent verbatim on every reuse.
+
+    ``wire`` is the whole head, status line through the blank line.
+    ``closing`` is the same head ending in ``Connection: close`` with no
+    ``Keep-Alive`` advert (``wire`` itself when this head already
+    closes), so a front end that must end the connection swaps bytes
+    instead of re-rendering.
+    """
+
+    wire: bytes
+    closing: bytes
+
+    @property
+    def keep_alive(self) -> bool:
+        return self.wire != self.closing
+
+
 @dataclass
 class Response:
     """An HTTP response.
@@ -80,7 +99,9 @@ class Response:
     :class:`repro.sim.simserver.SimServer`).  ``body_file`` (exclusive
     with a non-empty ``body``) names a disk file holding the body; the
     engine never sets it, and the socket front end reads such a body
-    into memory if one arrives.
+    into memory if one arrives.  ``prebuilt_head``, when set, is the
+    whole wire head (the engine's cached-hit fast path): ``headers`` is
+    then unused and :meth:`serialize_head` returns its bytes as they are.
     """
 
     status: int
@@ -88,6 +109,7 @@ class Response:
     body: bytes = b""
     version: str = "HTTP/1.0"
     body_file: Optional[FileBody] = None
+    prebuilt_head: Optional[PrebuiltHead] = None
 
     @property
     def reason(self) -> str:
@@ -110,11 +132,24 @@ class Response:
         ``[serialize_head(), body]`` so the (possibly large, shared,
         cached) body is never concatenated per request.
         """
-        headers = self.headers.copy()
+        if self.prebuilt_head is not None:
+            return self.prebuilt_head.wire
+        headers = self.headers
         if "content-length" not in headers:
+            headers = headers.copy()
             headers.set("Content-Length", str(self.body_length()))
         head = f"{self.version} {self.status} {self.reason}\r\n{headers.serialize()}\r\n"
         return head.encode("latin-1")
+
+    def close_connection(self) -> None:
+        """Make this the connection's last response: ``Connection:
+        close`` and no ``Keep-Alive`` advert."""
+        if self.prebuilt_head is not None:
+            closing = self.prebuilt_head.closing
+            self.prebuilt_head = PrebuiltHead(closing, closing)
+            return
+        self.headers.remove("Keep-Alive")
+        self.headers.set("Connection", "close")
 
     def serialize(self) -> bytes:
         """Render the response in wire form (always with Content-Length)."""
@@ -146,6 +181,8 @@ def request_wants_keep_alive(request: Request) -> bool:
 
 def response_allows_keep_alive(response: Response) -> bool:
     """Does *response* permit reusing the connection afterwards?"""
+    if response.prebuilt_head is not None:
+        return response.prebuilt_head.keep_alive
     return wants_keep_alive(response.version, response.headers)
 
 

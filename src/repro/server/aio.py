@@ -650,7 +650,7 @@ class AsyncDCWSServer:
                 and request_wants_keep_alive(request)
                 and response_allows_keep_alive(response))
         if not keep:
-            response.headers.set("Connection", "close")
+            response.close_connection()
             conn.close_after_flush = True
         self._queue_response(conn, response)
         # Idle keep-alive clock; doubles as the write deadman — a client

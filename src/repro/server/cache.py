@@ -19,19 +19,21 @@ Both caches keep their own locking: the socket server touches them
 from executor threads outside the engine lock (lock-scope reduction), and
 the counters feed the admin endpoint and benchmarks.  With ``stripes >
 1`` the lock (and the LRU structure) is partitioned by
-``hash(name) % stripes`` — per-shard locks, so concurrent readers of
-unrelated documents never serialize on one cache mutex; capacity is
-split evenly across stripes.  The default of one stripe preserves the
-original global-LRU semantics exactly.
+``zlib.crc32(name) % stripes`` (:func:`~repro.server.striping.shard_of`;
+stable across processes, unlike salted ``hash()``) — per-shard locks,
+so concurrent readers of unrelated documents never serialize on one
+cache mutex; capacity is split evenly across stripes.  The default of
+one stripe preserves the original global-LRU semantics exactly.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.http.messages import PrebuiltHead
 from repro.server.filestore import DocumentStore
 from repro.server.striping import shard_of
 
@@ -203,6 +205,13 @@ class CachedResponse:
     stored alongside the identity body (``None`` when compression is not
     worthwhile), so gzip negotiation on a cache hit costs a header check,
     never a compression pass.
+
+    ``heads`` holds the prebuilt wire head of each variant the fast path
+    has served, keyed by ``(gzip, keep_alive)``.  The engine fills it on
+    first use from its one header renderer; the bytes depend only on
+    this entry and the frozen server config, so the fill is idempotent,
+    and the heads die with the entry (a version bump changes the cache
+    key, invalidation drops the entry).
     """
 
     body: bytes
@@ -216,6 +225,8 @@ class CachedResponse:
     # the document record at fill time and stamped as ``X-DCWS-Digest``
     # on full responses; "" when the record had none.
     digest: str = ""
+    heads: Dict[Tuple[bool, bool], PrebuiltHead] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 class _ResponseShard:

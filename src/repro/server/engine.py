@@ -83,6 +83,7 @@ from repro.html.serializer import serialize_html
 from repro.html.template import LinkTemplate, build_link_template
 from repro.http.headers import Headers
 from repro.http.messages import (
+    PrebuiltHead,
     Request,
     Response,
     error_response,
@@ -161,8 +162,9 @@ class _FastHit:
     host's engine lock; the host then calls
     :meth:`DCWSEngine.fast_commit` *under* the lock, which re-checks the
     shard stamp (definitive there: every mutation holds the lock) and
-    either books the counters and finishes the response, or returns
-    ``None`` so the host falls back to :meth:`DCWSEngine.handle_request`.
+    either books the counters, or returns ``None`` so the host falls
+    back to :meth:`DCWSEngine.handle_request`.  ``response`` is already
+    final: the cached body plus the entry's prebuilt head.
     """
 
     shard: int
@@ -170,7 +172,7 @@ class _FastHit:
     record: DocumentRecord
     cached: CachedResponse
     response: Response
-    kind: str              # "identity" or "gzip"
+    gzip: bool
 
 
 @dataclass
@@ -595,7 +597,8 @@ class DCWSEngine:
         a clean, local, unreplicated, cached document — and the result
         is validated against the shard's seqlock stamp: any concurrent
         mutation of the shard sends the caller to the locked slow path.
-        Nothing here mutates engine state; all accounting happens in
+        Nothing here mutates engine state (beyond filling the entry's
+        prebuilt heads on first use); all accounting happens in
         :meth:`fast_commit` under the host's lock, so every counter
         stays exactly as accurate as the single-lock engine's.
         """
@@ -630,16 +633,40 @@ class DCWSEngine:
                                          request.method)
         if cached is None:
             return None
-        response, kind = self._render_entity(request, cached)
-        if kind not in ("identity", "gzip"):
-            return None  # unreachable without Range, but stay defensive
-        response.headers.set(VERSION_HEADER, cached.version)
+        gzip = self._serves_gzip(request, cached)
+        head = self._prebuilt_head(cached, gzip, self._keeps_alive(request))
         if self.shards.read(shard) != stamp:
             # A writer completed (or started) between our first stamp
             # read and here: everything read above may be torn.
             return None
+        response = Response(status=StatusCode.OK,
+                            body=cached.gzip_body if gzip else cached.body,
+                            prebuilt_head=head)
         return _FastHit(shard=shard, stamp=stamp, record=record,
-                        cached=cached, response=response, kind=kind)
+                        cached=cached, response=response, gzip=gzip)
+
+    def _prebuilt_head(self, cached: CachedResponse, gzip: bool,
+                       keep_alive: bool) -> PrebuiltHead:
+        """The wire head of one cached 200 variant, rendered on first use.
+
+        Runs the slow path's own renderer (:meth:`_full_entity`, the
+        version stamp and :meth:`_connection_headers`) once per
+        encoding, for the keep-alive and the closing tail together, so
+        the bytes are exactly what :meth:`_finish` would have produced.
+        """
+        head = cached.heads.get((gzip, keep_alive))
+        if head is None:
+            wires = []
+            for alive in (True, False):
+                response = self._full_entity(cached, gzip)
+                response.headers.set(VERSION_HEADER, cached.version)
+                self._connection_headers(response, alive)
+                wires.append(response.serialize_head())
+            alive_wire, closing = wires
+            cached.heads[(gzip, True)] = PrebuiltHead(alive_wire, closing)
+            cached.heads[(gzip, False)] = PrebuiltHead(closing, closing)
+            head = cached.heads[(gzip, keep_alive)]
+        return head
 
     def fast_commit(self, hit: _FastHit, request: Request,
                     now: float) -> Optional[EngineReply]:
@@ -655,13 +682,13 @@ class DCWSEngine:
         self._clock = now
         self.stats.requests += 1
         hit.record.record_hit()
-        if hit.kind == "gzip" and hit.cached.gzip_body is not None:
+        if hit.gzip:
             self.stats.gzip_responses += 1
             self.stats.gzip_bytes_saved += \
                 hit.cached.content_length - len(hit.cached.gzip_body)
         self.stats.responses_200 += 1
-        return self._finish(request, hit.response, now,
-                            doc_name=hit.record.name)
+        self._account_send(hit.response, now)
+        return EngineReply(response=hit.response, doc_name=hit.record.name)
 
     # -- administrative endpoints (/~dcws/...) ---------------------------
 
@@ -700,10 +727,8 @@ class DCWSEngine:
                             body=b"" if request.method == "HEAD" else body)
         response.headers.set("Content-Type", "text/plain")
         response.headers.set("Content-Length", str(len(body)))
-        if self.config.keep_alive and request_wants_keep_alive(request):
-            response.headers.set("Connection", "keep-alive")
-        else:
-            response.headers.set("Connection", "close")
+        response.headers.set("Connection", "keep-alive"
+                             if self._keeps_alive(request) else "close")
         return EngineReply(response=response, doc_name=HEALTH_PATH)
 
     # -- local (home-server) documents ---------------------------------
@@ -875,14 +900,45 @@ class DCWSEngine:
         representation) and ``Accept-Encoding: gzip`` (the pre-compressed
         variant stored at cache-fill time).  The validators ride on every
         flavor so a client can revalidate whatever it received.  No
-        counter is touched here: the lock-free fast path renders outside
-        the engine lock and books the outcome later (in
-        :meth:`fast_commit`); the slow path books it immediately in
-        :meth:`_entity_response`.  Returns the response plus its kind —
-        ``"identity"``, ``"gzip"``, ``"206"`` or ``"416"``.  The identity
-        and gzip bodies are the *shared* cached bytes objects, never a
-        copy.
+        counter is touched here; :meth:`_entity_response` books the
+        outcome.  Returns the response plus its kind — ``"identity"``,
+        ``"gzip"``, ``"206"`` or ``"416"``.  The identity and gzip bodies
+        are the *shared* cached bytes objects, never a copy.
         """
+        range_header = request.headers.get("Range")
+        if range_header and request.method == "GET":
+            span = parse_range(range_header, cached.content_length)
+            if span is RANGE_UNSATISFIABLE:
+                response = self._entity_headers(cached)
+                response.status = StatusCode.RANGE_NOT_SATISFIABLE
+                response.body = b""
+                response.headers.set("Content-Length", "0")
+                response.headers.set(
+                    "Content-Range", f"bytes */{cached.content_length}")
+                return response, "416"
+            if span is not None:
+                start, end = span
+                response = self._entity_headers(cached)
+                response.status = StatusCode.PARTIAL_CONTENT
+                response.body = cached.body[start:end + 1]
+                response.headers.set("Content-Range",
+                                     content_range(span,
+                                                   cached.content_length))
+                response.headers.set("Content-Length", str(end - start + 1))
+                return response, "206"
+        gzip = self._serves_gzip(request, cached)
+        return self._full_entity(cached, gzip), "gzip" if gzip else "identity"
+
+    @staticmethod
+    def _serves_gzip(request: Request, cached: CachedResponse) -> bool:
+        """Does *request* get the pre-compressed variant of *cached*?"""
+        return cached.gzip_body is not None and request.method == "GET" \
+            and accepts_gzip(request.headers)
+
+    @staticmethod
+    def _entity_headers(cached: CachedResponse) -> Response:
+        """A 200 of the identity body with the headers every flavor of
+        *cached* carries: type, length, ranges and validators."""
         response = Response(status=StatusCode.OK, body=cached.body)
         response.headers.set("Content-Type", cached.content_type)
         response.headers.set("Content-Length", str(cached.content_length))
@@ -896,40 +952,25 @@ class DCWSEngine:
             # compressed variant exists — even when this response is the
             # identity one — or a shared cache would serve gzip to all.
             response.headers.set("Vary", "Accept-Encoding")
-        range_header = request.headers.get("Range")
-        if range_header and request.method == "GET":
-            span = parse_range(range_header, cached.content_length)
-            if span is RANGE_UNSATISFIABLE:
-                response.status = StatusCode.RANGE_NOT_SATISFIABLE
-                response.body = b""
-                response.headers.set("Content-Length", "0")
-                response.headers.set(
-                    "Content-Range", f"bytes */{cached.content_length}")
-                return response, "416"
-            if span is not None:
-                start, end = span
-                response.status = StatusCode.PARTIAL_CONTENT
-                response.body = cached.body[start:end + 1]
-                response.headers.set("Content-Range",
-                                     content_range(span,
-                                                   cached.content_length))
-                response.headers.set("Content-Length", str(end - start + 1))
-                return response, "206"
-        if cached.gzip_body is not None and request.method == "GET" \
-                and accepts_gzip(request.headers):
+        return response
+
+    @staticmethod
+    def _full_entity(cached: CachedResponse, gzip: bool) -> Response:
+        """The full 200 of *cached*, identity or gzip-encoded, with its
+        digest; the one renderer both the slow path and the fast path's
+        prebuilt heads use."""
+        response = DCWSEngine._entity_headers(cached)
+        if gzip:
             response.body = cached.gzip_body
             response.headers.set("Content-Encoding", "gzip")
             response.headers.set("Content-Length",
                                  str(len(cached.gzip_body)))
-            if cached.digest:
-                # The digest always covers the identity entity; a gzip
-                # recipient verifies after decoding (the pool skips
-                # encoded bodies, the real client gunzips first).
-                response.headers.set(DIGEST_HEADER, cached.digest)
-            return response, "gzip"
         if cached.digest:
+            # The digest always covers the identity entity; a gzip
+            # recipient verifies after decoding (the pool skips encoded
+            # bodies, the real client gunzips first).
             response.headers.set(DIGEST_HEADER, cached.digest)
-        return response, "identity"
+        return response
 
     def _entity_response(self, request: Request,
                          cached: CachedResponse) -> Response:
@@ -2167,7 +2208,18 @@ class DCWSEngine:
             # must not put body bytes on the wire, or a keep-alive peer
             # reading by the head alone finds the channel dirty.
             response.body = b""
-        if self.config.keep_alive and request_wants_keep_alive(request):
+        self._connection_headers(response, self._keeps_alive(request))
+        self._account_send(response, now)
+        return EngineReply(response=response, doc_name=doc_name,
+                           reconstructed=reconstructed, spliced=spliced)
+
+    def _keeps_alive(self, request: Request) -> bool:
+        return self.config.keep_alive and request_wants_keep_alive(request)
+
+    def _connection_headers(self, response: Response,
+                            keep_alive: bool) -> None:
+        """The connection tail every response ends its head with."""
+        if keep_alive:
             response.headers.set("Connection", "keep-alive")
             response.headers.set(
                 "Keep-Alive",
@@ -2175,11 +2227,12 @@ class DCWSEngine:
                 f"max={self.config.keep_alive_max_requests}")
         else:
             response.headers.set("Connection", "close")
+
+    def _account_send(self, response: Response, now: float) -> None:
+        """Count one response's bytes into the BPS metric and stats."""
         body_bytes = response.body_length()
         self.metrics.record_connection(now, body_bytes + RESPONSE_HEAD_OVERHEAD)
         self.stats.bytes_sent += body_bytes
-        return EngineReply(response=response, doc_name=doc_name,
-                           reconstructed=reconstructed, spliced=spliced)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -5,7 +5,7 @@ story that one big lock cannot give:
 
 - **Striped locks** (:class:`StripedLock`): the PR 2 per-document
   regeneration guard kept one ``threading.Lock`` per *name* in an
-  unbounded dict.  Generalized here: ``hash(name) % n_stripes`` maps
+  unbounded dict.  Generalized here: ``zlib.crc32(name) % n_stripes`` maps
   every document to one of a fixed set of locks, so unrelated documents
   in different stripes never contend while two writers of the *same*
   document still serialize — and the lock table stops growing with the

@@ -242,6 +242,46 @@ def _readable(sock: socket.socket) -> bool:
     return bool(ready)
 
 
+class TestKeepAliveCap:
+    def test_capped_fast_hit_closes_connection(self):
+        config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
+                              keep_alive_max_requests=3)
+        with make_server(config) as server:
+            assert server.wait_ready()
+            fetch_url(URL("127.0.0.1", server.port, "/d.html"))  # fill
+            engine = server.engine
+            fast_replies = []
+            commit = engine.fast_commit
+
+            def counting_commit(hit, request, now):
+                reply = commit(hit, request, now)
+                fast_replies.append(reply is not None)
+                return reply
+
+            engine.fast_commit = counting_commit
+            heads = []
+            with connect(server) as sock:
+                stream = sock.makefile("rb")
+                for __ in range(3):
+                    sock.sendall(b"GET /d.html HTTP/1.1\r\nHost: h\r\n\r\n")
+                    head = b""
+                    while not head.endswith(b"\r\n\r\n"):
+                        head += stream.readline()
+                    length = int(re.search(rb"Content-Length: (\d+)",
+                                           head).group(1))
+                    assert stream.read(length) == SITE["/d.html"]
+                    heads.append(head)
+                # The server closes once the capped response is flushed.
+                assert stream.read() == b""
+        assert fast_replies == [True, True, True]
+        for head in heads[:-1]:
+            assert b"Connection: keep-alive\r\n" in head
+            assert re.search(rb"Keep-Alive: timeout=[\d.]+, max=3\r\n", head)
+        assert heads[-1].endswith(b"Connection: close\r\n\r\n")
+        assert b"Keep-Alive" not in heads[-1]
+        assert b"keep-alive" not in heads[-1]
+
+
 class TestAdmissionControl:
     def test_over_cap_connection_shed_with_503(self):
         config = ServerConfig(stats_interval=60.0, pinger_interval=60.0,
