@@ -4,8 +4,8 @@ Two experiments share this file:
 
 1. The original ablation (paper future work, section 6): "the only way
    to get around this problem is to adopt replication of hot spots".
-   Enabling the replication extension on the hot-spot data set (SBLog)
-   must lift the single-co-op ceiling the prototype hits in Figure 7.
+   Replication groups of k=4 on the hot-spot data set (SBLog) must lift
+   the single-co-op ceiling the prototype hits in Figure 7.
 
 2. The replication-groups subsystem under failure: a Zipf flash crowd
    runs against a prewarmed cluster and the busiest co-op is killed
@@ -50,7 +50,7 @@ def test_replication_regenerate(result, report):
 
 
 def test_replication_happened(result):
-    assert result.replications > 0
+    assert result.repairs > 0
 
 
 def test_replication_raises_hot_spot_ceiling(result):

@@ -124,9 +124,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, wal_fsync=args.wal_fsync)
     replication_k = getattr(args, "replication_k", 1)
     if replication_k > 1:
-        config = dataclasses.replace(
-            config, replication_k=replication_k,
-            max_replicas=max(config.max_replicas, replication_k))
+        config = dataclasses.replace(config, replication_k=replication_k)
     workers = getattr(args, "workers", 1)
     if workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
@@ -194,9 +192,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if replication_k > 1:
         import dataclasses
 
-        server_config = dataclasses.replace(
-            server_config, replication_k=replication_k,
-            max_replicas=max(server_config.max_replicas, replication_k))
+        server_config = dataclasses.replace(server_config,
+                                            replication_k=replication_k)
     config = ClusterConfig(
         servers=args.servers, clients=args.clients, duration=args.duration,
         sample_interval=args.sample_interval, seed=args.seed,

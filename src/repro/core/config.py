@@ -102,23 +102,17 @@ class ServerConfig:
     membership_forget_after: float = 300.0
 
     # --- extensions beyond the prototype --------------------------------
-    # Paper future work (section 6): replicate hot documents to several
-    # co-ops.  0 disables replication (prototype behaviour: footnote 1,
-    # "each document may be migrated to only one co-op server").
-    max_replicas: int = 1
-    # Reactive replication budget: how many documents the periodic
-    # replication pass may replicate per statistics interval.  1 is the
-    # historical behaviour (one replication per round, mirroring the
-    # paper's one-migration-per-interval pacing).
-    max_replications_per_interval: int = 1
     # --- replication groups with autonomous repair ----------------------
-    # ``replication_k`` is the target number of live holders per
+    # Paper future work (section 6): replicate hot documents to several
+    # co-ops.  ``replication_k`` is the target number of live holders per
     # replication group (the k of k-copy placement).  1 disables the
-    # subsystem entirely; with k >= 2 every hot migrated document gets a
-    # group that the repair loop proactively tops up to k holders and
-    # autonomously re-replicates when the circuit breaker or the pinger
-    # declares a holder dead — a single co-op crash then costs zero
-    # availability and no revoke/re-home cycle.
+    # subsystem entirely (prototype behaviour: footnote 1, "each document
+    # may be migrated to only one co-op server"); with k >= 2 every hot
+    # migrated document gets a group that the repair loop proactively
+    # tops up to k holders and autonomously re-replicates when the
+    # circuit breaker or the pinger declares a holder dead — a single
+    # co-op crash then costs zero availability and no revoke/re-home
+    # cycle.
     replication_k: int = 1
     # Groups with at least ``replication_sufficient`` live holders (but
     # fewer than k) are *degraded*; below that they are *critical* and
@@ -130,6 +124,9 @@ class ServerConfig:
     # How often the repair loop runs off the engine tick.  0 means
     # "every statistics interval" (T_st), the migration round's cadence.
     replication_repair_interval: float = 0.0
+    # The repair round's budget: how many replacement holders one round
+    # may add, across all groups.
+    max_replications_per_interval: int = 1
     # Document-selection policy.  "paper" is Algorithm 1; "hottest" takes
     # the highest-hit candidate ignoring link locality (ablating steps
     # 4-5); "random" picks uniformly among threshold survivors.
@@ -243,7 +240,7 @@ class ServerConfig:
             "socket_queue_length", "stats_interval", "pinger_interval",
             "validation_interval", "home_remigration_interval",
             "coop_migration_spacing", "max_migrations_per_interval",
-            "ping_failure_limit", "max_replicas",
+            "ping_failure_limit",
             "max_replications_per_interval", "replication_k",
             "replication_sufficient",
             "keep_alive_timeout", "keep_alive_max_requests",

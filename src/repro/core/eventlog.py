@@ -15,7 +15,7 @@ from typing import Any, Deque, Dict, Iterator, List, Optional
 
 #: Known event kinds, for discoverability (the log accepts any string).
 EVENT_KINDS = (
-    "migrate", "remigrate", "revoke", "replicate",
+    "migrate", "remigrate", "revoke", "replica_drop", "repair",
     "pull", "pull_failed", "validate", "validate_refreshed",
     "ping", "peer_dead", "regenerate", "content_update",
     "checkpoint", "recover",

@@ -15,9 +15,11 @@ Algorithm 1 (:mod:`repro.core.selection`):
 - all migrations are *logical*: only the LDG changes here; document bytes
   move lazily when the co-op first needs them.
 
-The ``max_replicas`` extension (paper future work, section 6) lets a hot
-document be hosted by several co-ops at once; referring links are spread
-across the replica set by the engine's rewriter.
+Hot-document replication (paper future work, section 6) is not decided
+here: :mod:`repro.server.replication` places replicas through
+:meth:`MigrationPolicy.repair_replica` and sheds dead holders through
+:meth:`MigrationPolicy.drop_holder`, so every relocation still passes
+through this table and its ``on_decision`` hook.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.core.selection import (
 
 @dataclass(frozen=True)
 class MigrationDecision:
-    """One applied (logical) migration, revocation, or replication.
+    """One applied (logical) migration, revocation, or holder change.
 
     ``replica_drop`` removes a dead holder from a replication group
     (promoting a surviving replica to primary when the primary died);
@@ -47,8 +49,8 @@ class MigrationDecision:
 
     name: str
     target: Location
-    kind: str  # "migrate" | "revoke" | "remigrate" | "replicate"
-               # | "replica_drop" | "repair"
+    kind: str  # "migrate" | "revoke" | "remigrate" | "replica_drop"
+               # | "repair"
     dirtied: Sequence[str] = ()
 
 
@@ -161,14 +163,9 @@ class MigrationPolicy:
         """
         decisions: List[MigrationDecision] = []
         decisions.extend(self._consider_remigration(now))
-        if self.config.max_replicas > 1:
-            # Replication reacts to a *co-op* running hot, which can happen
-            # whether or not this home server is itself overloaded.
-            decisions.extend(self._consider_replication(now, own_metric))
         if not self._overloaded(own_metric):
             return decisions
-        budget = self.config.max_migrations_per_interval - len(
-            [d for d in decisions if d.kind in ("migrate", "remigrate")])
+        budget = self.config.max_migrations_per_interval - len(decisions)
         for _ in range(max(0, budget)):
             decision = self._migrate_one(now, own_metric)
             if decision is None:
@@ -304,54 +301,6 @@ class MigrationPolicy:
             # co-op simply drops its copy), so it gets twice the budget.
             if len(decisions) >= 2 * self.config.max_migrations_per_interval:
                 break
-        return decisions
-
-    # ------------------------------------------------------------------
-    # Replication extension (future work, section 6)
-    # ------------------------------------------------------------------
-
-    def _consider_replication(self, now: float,
-                              own_metric: float) -> List[MigrationDecision]:
-        """Give an over-hot migrated document an additional replica.
-
-        Candidates are ordered by accumulated hits (co-ops report hosted
-        hits back on validations), so the document actually responsible
-        for the co-op's heat replicates first.
-        """
-        decisions: List[MigrationDecision] = []
-        mean = self.glt.mean_metric()
-        if mean <= 0.0:
-            return decisions
-        by_demand = sorted(
-            self._migrations,
-            key=lambda n: (-(self.graph.find(n).hits
-                             if self.graph.find(n) else 0), n))
-        for name in by_demand:
-            record = self._migrations[name]
-            document = self.graph.find(name)
-            if document is None:
-                continue
-            if len(document.locations()) >= self.config.max_replicas:
-                continue
-            coop_row = self.glt.get(record.coop)
-            if coop_row is None or \
-                    coop_row.metric <= self.config.imbalance_tolerance * mean:
-                continue
-            target = self.glt.least_loaded(
-                exclude=list(document.locations()) + self._unavailable_peers())
-            if target is None:
-                continue
-            last = self._coop_last_accept.get(str(target))
-            if last is not None and now - last < self.config.coop_migration_spacing:
-                continue
-            dirtied = self.graph.add_replica(name, target)
-            self._coop_last_accept[str(target)] = now
-            record.replicas[str(target)] = now
-            decisions.append(self._note(MigrationDecision(
-                name=name, target=target, kind="replicate",
-                dirtied=tuple(dirtied))))
-            if len(decisions) >= self.config.max_replications_per_interval:
-                break  # per-round replication budget exhausted
         return decisions
 
     # ------------------------------------------------------------------

@@ -71,7 +71,6 @@ def render_status(engine) -> str:
         f"  via template splice   {stats.splices}",
         f"migrations              {stats.migrations}",
         f"revocations             {stats.revocations}",
-        f"replications            {stats.replications}",
         f"replica repairs         {stats.repairs}",
         f"replica drops           {stats.replica_drops}",
         f"pulls started/completed {stats.pulls_started}/{stats.pulls_completed}",

@@ -288,7 +288,6 @@ class EngineStats:
     pings: int = 0
     migrations: int = 0
     revocations: int = 0
-    replications: int = 0
     replica_drops: int = 0   # dead holders shed from replication groups
     repairs: int = 0         # replacement holders added by the repair loop
     decisions: List[MigrationDecision] = field(default_factory=list)
@@ -1040,19 +1039,13 @@ class DCWSEngine:
     def _pick_location(self, record: DocumentRecord, salt: str) -> Location:
         """Choose among a migrated document's locations.
 
-        With the prototype's single-location rule this is just the primary;
-        with replicas the choice is a crc32 digest of (name, salt), so load
-        spreads without per-request state and every process picks alike.
+        With replication groups, power-of-two-choices over the live
+        holders (:meth:`ReplicationManager.pick`); without them a
+        document has one location, the prototype's single-location rule.
         """
         if self.replication is not None:
-            # Replication groups: power-of-two-choices over the live
-            # holders, weighted by last-known GLT load.
             return self.replication.pick(record, salt)
-        locations = sorted(record.locations(), key=str)
-        if len(locations) == 1:
-            return locations[0]
-        index = stable_digest(record.name, salt) % len(locations)
-        return locations[index]
+        return record.location
 
     # -- co-op (migrated) documents -------------------------------------
 
@@ -1491,16 +1484,22 @@ class DCWSEngine:
         assert self.replication is not None
         with self.shards.write_all():
             decisions = self.replication.repair_round(now)
-        self._count_repair_decisions(decisions, now)
+        self._count_decisions(decisions, now)
 
-    def _count_repair_decisions(self, decisions: List[MigrationDecision],
-                                now: float) -> None:
+    def _count_decisions(self, decisions: List[MigrationDecision],
+                         now: float) -> None:
+        """Record applied decisions: the stats list, the event log, and
+        the per-kind counter."""
         for decision in decisions:
             self.stats.decisions.append(decision)
             self.log.record(now, decision.kind, name=decision.name,
                             target=str(decision.target),
                             dirtied=len(decision.dirtied))
-            if decision.kind == "repair":
+            if decision.kind in ("migrate", "remigrate"):
+                self.stats.migrations += 1
+            elif decision.kind == "revoke":
+                self.stats.revocations += 1
+            elif decision.kind == "repair":
                 self.stats.repairs += 1
             elif decision.kind == "replica_drop":
                 self.stats.replica_drops += 1
@@ -1520,17 +1519,7 @@ class DCWSEngine:
         # lock-free readers fall back for its (short) duration.
         with self.shards.write_all():
             decisions = self.policy.consider(now, own_metric)
-        for decision in decisions:
-            self.stats.decisions.append(decision)
-            self.log.record(now, decision.kind, name=decision.name,
-                            target=str(decision.target),
-                            dirtied=len(decision.dirtied))
-            if decision.kind in ("migrate", "remigrate"):
-                self.stats.migrations += 1
-            elif decision.kind == "revoke":
-                self.stats.revocations += 1
-            elif decision.kind == "replicate":
-                self.stats.replications += 1
+        self._count_decisions(decisions, now)
         self.graph.reset_windows()
 
     def _validations_due(self, now: float) -> List[OutboundAction]:
@@ -1560,8 +1549,15 @@ class DCWSEngine:
     def _pings_due(self, now: float) -> List[OutboundAction]:
         """Pinger: force a transfer to peers with stale load information."""
         max_age = self.config.staleness_intervals * self.config.pinger_interval
+        due = self.glt.stale_peers(now, max_age)
+        # A peer that rejoined through its own gossip keeps its row fresh
+        # and would never be pinged; ping it anyway, since its ping
+        # response carries the manifest that rejoin reconciliation reads.
+        due += [peer for peer in map(self._location_of,
+                                     sorted(self._reconcile_pending))
+                if peer is not None and peer not in due]
         actions: List[OutboundAction] = []
-        for peer in self.glt.stale_peers(now, max_age):
+        for peer in due:
             request = Request(method="HEAD", target="/")
             self._attach_piggyback(request.headers)
             request.headers.set(PURPOSE_HEADER, "ping")
@@ -1643,13 +1639,12 @@ class DCWSEngine:
             return
         self._peer_success(peer_key, now, rtt=rtt)
         self._absorb_piggyback(response.headers)
-        has_manifest = bool(response.headers.get(HOSTED_MANIFEST_HEADER, ""))
-        if action.kind == "probe" or (has_manifest
+        if action.kind == "probe" or (action.kind == "ping"
                                       and peer_key in self._reconcile_pending):
             # Probes always reconcile.  A peer that rejoined through
             # gossip (its own probe reached us first) never gets a probe
-            # from our side, so the next manifest-bearing ping response
-            # settles its surviving copies instead.
+            # from our side, so the next ping response settles its
+            # surviving copies instead (no manifest: nothing to settle).
             self._reconcile_pending.discard(peer_key)
             self._reconcile_manifest(action.peer, response.headers, now)
         if action.kind == "validate" and action.key:
@@ -1877,11 +1872,7 @@ class DCWSEngine:
                     # Not droppable (no live copy would survive beyond
                     # home): full revocation — the document comes home.
                     decision = self.policy.revoke(path)
-            self.stats.decisions.append(decision)
-            if decision.kind == "replica_drop":
-                self.stats.replica_drops += 1
-            else:
-                self.stats.revocations += 1
+            self._count_decisions([decision], now)
             self.integrity.clear_bad_holder(path, holder)
             if self.replication is not None:
                 # Repair immediately, critical-first; the replacement
@@ -1990,6 +1981,9 @@ class DCWSEngine:
         key = str(peer)
         if not self.membership.mark_dead(key, now):
             return
+        # Dead again before its manifest arrived: the rediscovery probe
+        # reconciles instead, so stop pinging it for that.
+        self._reconcile_pending.discard(key)
         self._journal("membership", peer=key, state=DEAD)
         self.log.record(now, "peer_dead", peer=key)
         # Revoking every document hosted on the dead peer mutates
@@ -1999,12 +1993,7 @@ class DCWSEngine:
         # serving from the survivors with no redirect churn.
         with self.shards.write_all():
             decisions = self.policy.revoke_all_from(peer)
-        for decision in decisions:
-            self.stats.decisions.append(decision)
-            if decision.kind == "replica_drop":
-                self.stats.replica_drops += 1
-            else:
-                self.stats.revocations += 1
+        self._count_decisions(decisions, now)
         self.glt.remove(peer)
         self.health.forget(key)
         if self.breaker is not None:
@@ -2162,7 +2151,7 @@ class DCWSEngine:
                 drops += 1          # group already whole (or unmanaged)
                 continue
             decision = self.policy.repair_replica(record.name, peer, now)
-            self._count_repair_decisions([decision], now)
+            self._count_decisions([decision], now)
             reregistered += 1
         counters = self.membership.counters
         counters.reconcile_drops += drops

@@ -354,6 +354,8 @@ def apply_record(engine: DCWSEngine, record: JournalRecord) -> None:
     on disk is a no-op rather than an error.
     """
     fields = record.fields
+    # "replicate" is no longer written; journals from before replication
+    # groups placed every replica still replay.
     if record.kind in ("migrate", "remigrate", "revoke", "replicate",
                        "replica_drop", "repair"):
         name = str(fields["name"])

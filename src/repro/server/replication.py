@@ -1,8 +1,8 @@
 """Replication groups with autonomous repair.
 
 The paper defers hot-document replication to future work (section 6);
-this subsystem makes the vestigial hooks (``LDG.add_replica``, the
-``replicate`` decision kind) a first-class availability mechanism:
+this subsystem is the one mechanism that places replicas, built on the
+LDG's ``add_replica`` / ``drop_holder`` hooks:
 
 - every hot migrated document gets a *replication group* with a target
   holder count k (``ServerConfig.replication_k``) and a sufficiency
@@ -298,15 +298,20 @@ class ReplicationManager:
         return self._live_holders(document)
 
     def groups_below_target(self) -> int:
+        """Groups with fewer than k live holders *now*.
+
+        Counted from the live holders rather than the stored ``state``,
+        which only the repair round reclassifies: a holder re-registered
+        by rejoin reconciliation, or one that died since the last round,
+        counts at once."""
         return sum(1 for g in self.groups.values()
-                   if g.state != STATE_HEALTHY)
+                   if len(self.live_holders(g.name)) < g.target)
 
     def copies_histogram(self) -> Dict[int, int]:
         """live-holder-count -> number of groups."""
         histogram: Dict[int, int] = {}
         for name in self.groups:
-            document = self.graph.find(name)
-            live = len(self._live_holders(document)) if document else 0
+            live = len(self.live_holders(name))
             histogram[live] = histogram.get(live, 0) + 1
         return histogram
 

@@ -8,9 +8,9 @@ rewritten on disk still points at the co-ops.  This module closes that
 window with the standard ARIES-style recipe:
 
 - every state-mutating engine event (migrate, remigrate, revoke,
-  replicate, pull-completed, regeneration commit, validation refresh,
-  content update, GLT row) is appended to an append-only *journal*
-  before the server acknowledges it;
+  replica repair and drop, pull-completed, regeneration commit,
+  validation refresh, content update, GLT row) is appended to an
+  append-only *journal* before the server acknowledges it;
 - recovery is *snapshot + replay*: load the last checkpoint, then replay
   the journal tail past the checkpoint's LSN;
 - *checkpointing* writes a fresh snapshot durably and truncates the
@@ -61,7 +61,7 @@ if TYPE_CHECKING:
 
 #: Journal record kinds (the engine's durable mutation vocabulary).
 RECORD_KINDS = (
-    "migrate", "remigrate", "revoke", "replicate",
+    "migrate", "remigrate", "revoke", "replica_drop", "repair",
     "pull", "hosted_dropped", "validate_refreshed",
     "content_update", "regenerate", "glt_row",
     "quarantine", "quarantine_cleared",

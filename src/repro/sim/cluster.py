@@ -92,7 +92,6 @@ class SimulationResult:
     client_stats: WalkerStats
     migrations: int
     revocations: int
-    replications: int
     reconstructions: int
     redirects_served: int
     drops: int
@@ -386,7 +385,7 @@ class SimCluster:
             client_stats.backoff_time += stats.backoff_time
             client_stats.replica_fallbacks += stats.replica_fallbacks
             latencies.extend(client.latencies)
-        migrations = revocations = replications = 0
+        migrations = revocations = 0
         reconstructions = redirects = drops = 0
         repairs = replica_drops = 0
         per_server: Dict[str, Dict[str, object]] = {}
@@ -394,7 +393,6 @@ class SimCluster:
             engine = server.engine
             migrations += engine.stats.migrations
             revocations += engine.stats.revocations
-            replications += engine.stats.replications
             repairs += engine.stats.repairs
             replica_drops += engine.stats.replica_drops
             reconstructions += engine.stats.reconstructions
@@ -418,7 +416,6 @@ class SimCluster:
             client_stats=client_stats,
             migrations=migrations,
             revocations=revocations,
-            replications=replications,
             reconstructions=reconstructions,
             redirects_served=redirects,
             drops=drops,

@@ -393,7 +393,7 @@ class TestReplicaHolderCrash:
         config = ServerConfig(stats_interval=0.3, pinger_interval=0.3,
                               ping_failure_limit=2,
                               breaker_reset_timeout=0.2,
-                              replication_k=2, max_replicas=2)
+                              replication_k=2)
         engine = DCWSEngine(
             Location("127.0.0.1", home_port), config, MemoryStore(SITE),
             entry_points=["/index.html"],
@@ -530,7 +530,7 @@ class TestFalseDeathRediscovery:
                               ping_failure_limit=2,
                               validation_interval=60.0,
                               breaker_reset_timeout=0.2,
-                              replication_k=2, max_replicas=2,
+                              replication_k=2,
                               reprobe_interval=0.3, reprobe_backoff=2.0,
                               reprobe_max_interval=0.6, reprobe_jitter=0.0)
         home_loc = Location("127.0.0.1", home_port)
@@ -695,7 +695,7 @@ class TestCorruptionQuarantine:
                               ping_failure_limit=6,
                               validation_interval=60.0,
                               breaker_reset_timeout=0.2,
-                              replication_k=2, max_replicas=2,
+                              replication_k=2,
                               scrub_interval=0.3, scrub_budget=16,
                               integrity_serve_sample=1)
         home_loc = Location("127.0.0.1", home_port)

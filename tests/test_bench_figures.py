@@ -123,7 +123,7 @@ class TestSmallResults:
 
     def test_replication_gain(self):
         result = ReplicationAblation("sblog", 8, cps_without=2000.0,
-                                     cps_with=2500.0, replications=3)
+                                     cps_with=2500.0, repairs=3)
         assert result.gain == 1.25
         zero = ReplicationAblation("sblog", 8, 0.0, 1.0, 0)
         assert zero.gain == float("inf")

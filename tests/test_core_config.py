@@ -29,7 +29,7 @@ class TestTable1Defaults:
 
     def test_prototype_single_location_rule(self):
         # Footnote 1: one co-op per document in the prototype.
-        assert ServerConfig().max_replicas == 1
+        assert ServerConfig().replication_k == 1
 
 
 class TestValidation:
@@ -38,7 +38,6 @@ class TestValidation:
         ("socket_queue_length", -1),
         ("stats_interval", 0.0),
         ("pinger_interval", -5.0),
-        ("max_replicas", 0),
         ("workers", 0),
         ("workers", -2),
         ("lock_stripes", 0),

@@ -137,30 +137,6 @@ class TestRemigration:
         assert [d for d in decisions if d.kind == "remigrate"] == []
 
 
-class TestReplication:
-    def test_replication_when_enabled_and_hot(self):
-        config = ServerConfig(migration_hit_threshold=1.0, max_replicas=3,
-                              imbalance_tolerance=1.05)
-        policy, graph, glt = build_policy(config)
-        policy.force_migrate("/d0", COOP_A, now=0.0)
-        glt.update_own(200.0, 100.0)
-        glt.observe(LoadReport(str(COOP_A), 500.0, 100.0))
-        glt.observe(LoadReport(str(COOP_B), 1.0, 100.0))
-        decisions = policy.consider(now=100.0, own_metric=200.0)
-        replications = [d for d in decisions if d.kind == "replicate"]
-        assert replications
-        assert COOP_B in graph.get("/d0").locations()
-
-    def test_no_replication_by_default(self):
-        policy, graph, glt = build_policy()
-        policy.force_migrate("/d0", COOP_A, now=0.0)
-        glt.update_own(200.0, 100.0)
-        glt.observe(LoadReport(str(COOP_A), 500.0, 100.0))
-        glt.observe(LoadReport(str(COOP_B), 1.0, 100.0))
-        decisions = policy.consider(now=100.0, own_metric=200.0)
-        assert [d for d in decisions if d.kind == "replicate"] == []
-
-
 class TestSelectionPolicies:
     @pytest.mark.parametrize("policy_name", ["paper", "hottest", "random"])
     def test_all_policies_pick_a_valid_document(self, policy_name):

@@ -6,7 +6,7 @@ between runs.  This runs one tiny engine scenario in two interpreters
 with different hash seeds and requires identical answers for the
 decisions that used to consult ``hash()``: the jittered first validation
 deadline of a co-op copy (after a lazy pull and after a warm install)
-and the replica pick of the ``max_replicas`` fallback.
+and the replication groups' two-choices replica pick.
 """
 
 import json
@@ -37,7 +37,7 @@ def get(engine, path, now, headers=None):
     return engine.handle_request(request, now)
 
 
-config = ServerConfig(stats_interval=1000.0, max_replicas=3)
+config = ServerConfig(stats_interval=1000.0, replication_k=3)
 home = DCWSEngine(HOME, config, MemoryStore(PAGES), peers=(COOP,))
 coop = DCWSEngine(COOP, config, MemoryStore(), peers=(HOME,))
 home.initialize(0.0)
@@ -55,11 +55,11 @@ for i in range(4, 8):
 deadlines = {str(key): coop.validation.last_serviced(key)
              for key in coop.validation.keys()}
 
-# The max_replicas fallback (no replication groups): pick among replicas.
+# Replication groups: two-choices pick among a document's holders.
 record = home.graph.get("/p0.html")
 record.location = Location("r0", 80)
 record.replicas = {Location(f"r{i}", 80) for i in range(1, 3)}
-picks = [str(home._pick_location(record, salt=f"/referrer{i}.html"))
+picks = [str(home.replication.pick(record, salt=f"/referrer{i}.html"))
          for i in range(16)]
 
 print(json.dumps({"deadlines": deadlines, "picks": picks}))

@@ -16,10 +16,15 @@ from repro.core.config import ServerConfig
 from repro.core.document import Location
 from repro.core.naming import REPLICAS_HEADER
 from repro.errors import ConfigError, MigrationError
-from repro.http.messages import Request
-from repro.http.piggyback import LoadReport
+from repro.http.messages import Request, Response
+from repro.http.piggyback import LoadReport, attach_load_reports
 from repro.server.admin import render_replication
-from repro.server.engine import DCWSEngine
+from repro.server.engine import (
+    HOSTED_MANIFEST_HEADER,
+    PURPOSE_HEADER,
+    DCWSEngine,
+    OutboundAction,
+)
 from repro.server.filestore import MemoryStore
 from repro.server.fsck import check_engine
 from repro.server.persistence import (
@@ -52,7 +57,6 @@ def make_engine(location=HOME, peers=(COOP, COOP2), **config_kwargs):
     config_kwargs.setdefault("stats_interval", 1.0)
     config_kwargs.setdefault("migration_hit_threshold", 1.0)
     config_kwargs.setdefault("replication_k", 2)
-    config_kwargs.setdefault("max_replicas", 2)
     config = ServerConfig(**config_kwargs)
     engine = DCWSEngine(location, config, MemoryStore(dict(SITE)),
                         entry_points=["/index.html"], peers=list(peers))
@@ -253,8 +257,7 @@ class TestManager:
         assert manager.groups["/d.html"].state == STATE_DEGRADED
 
     def test_classify_thresholds(self):
-        engine = make_engine(replication_k=3, max_replicas=3,
-                             replication_sufficient=2)
+        engine = make_engine(replication_k=3, replication_sufficient=2)
         manager = engine.replication
         assert manager._classify([COOP, COOP2, HOME]) == STATE_HEALTHY
         assert manager._classify([COOP, COOP2]) == STATE_DEGRADED
@@ -345,6 +348,56 @@ class TestEngineIntegration:
         replicas = reply.response.headers.get(REPLICAS_HEADER)
         assert replicas is not None
         assert set(replicas.split(",")) == {str(COOP), str(COOP2)}
+
+    def test_reregistered_holder_counts_without_a_repair_round(self):
+        engine = migrated_engine()
+        manager = engine.replication
+        manager.sync(1.0)               # a k=2 group with one holder
+        assert manager.groups["/d.html"].state == STATE_DEGRADED
+        assert manager.groups_below_target() == 1
+        # COOP2 answers a rediscovery probe listing a current copy of
+        # /d.html: rejoin reconciliation re-registers it as a holder.
+        version = engine.graph.get("/d.html").version
+        response = Response(status=200)
+        response.headers.set(HOSTED_MANIFEST_HEADER, f"/d.html@{version}")
+        probe = OutboundAction(kind="probe", peer=COOP2,
+                               request=Request("HEAD", "/"))
+        engine.complete_action(probe, response, 2.0)
+        assert engine.graph.get("/d.html").locations() == {COOP, COOP2}
+        # No repair round ran in between, yet the group counts as whole.
+        assert manager.groups_below_target() == 0
+        assert manager.copies_histogram() == {2: 1}
+
+    def test_gossip_rejoin_is_pinged_for_its_manifest(self):
+        # No scheduled repair round after the death's own: only
+        # reconciliation can bring COOP back into the group.
+        engine = migrated_engine(ping_failure_limit=2, pinger_interval=1.0,
+                                 replication_repair_interval=1000.0)
+        declare_dead(engine, COOP, start=5.0)
+        assert engine.graph.get("/d.html").locations() == {COOP2}
+        # COOP's own ping reaches us first: its gossip rejoins it and
+        # keeps its load row fresh, so staleness alone never pings it.
+        ping = Request("HEAD", "/")
+        attach_load_reports(ping.headers, str(COOP),
+                            [LoadReport(str(COOP), 1.0, 40.0)])
+        ping.headers.set(PURPOSE_HEADER, "ping")
+        engine.handle_request(ping, 40.0)
+        assert engine.membership.state(str(COOP)) == "alive"
+        ours = [a for a in engine.tick(40.1)
+                if a.kind == "ping" and a.peer == COOP]
+        assert len(ours) == 1
+        # Its ping response lists a current copy of /d.html: the
+        # under-target group re-admits it without a repair round.
+        response = Response(status=200)
+        version = engine.graph.get("/d.html").version
+        response.headers.set(HOSTED_MANIFEST_HEADER, f"/d.html@{version}")
+        engine.complete_action(ours[0], response, 40.2)
+        assert engine.graph.get("/d.html").locations() == {COOP, COOP2}
+        assert engine.membership.counters.reconcile_reregistrations == 1
+        # Settled: with a fresh row it is not pinged again.
+        engine.glt.observe(LoadReport(str(COOP), 1.0, 42.0))
+        assert not [a for a in engine.tick(42.0)
+                    if a.kind == "ping" and a.peer == COOP]
 
     def test_single_holder_redirect_has_no_replica_header(self):
         engine = migrated_engine(replication_k=1)

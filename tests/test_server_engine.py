@@ -448,7 +448,7 @@ class TestContentAdministration:
 
 class TestReplicationServing:
     def test_redirect_spreads_across_replicas(self):
-        engine = make_engine(max_replicas=3)
+        engine = make_engine(replication_k=3)
         coop2 = Location("coop2", 8003)
         engine.glt.register(coop2)
         engine.graph.add_replica("/d.html", COOP)

@@ -292,7 +292,7 @@ class TestScrubHosted:
         assert len(again) == 1  # retried next tick
 
     def test_home_drops_reported_holder_and_answers_301(self):
-        home = make_engine(replication_k=2, max_replicas=2)
+        home = make_engine(replication_k=2)
         home.policy.force_migrate("/d.html", COOP, now=0.5)
         coop = pulled_coop(scrub_interval=1.0)
         corrupt_store(coop, MIGRATED_D)
